@@ -35,8 +35,8 @@ SETUP_REPEATS = 3
 SETUP_MIN_S = 2.0
 RUN_LIMIT_S = 170.0  # the whole run, setup included, must end before 180 s
 
-# Units of every metric the benchmark can report; BENCHMARK.json picks the
-# ones the driver reads, the results file keeps all that apply.
+# Units of every metric the benchmark can report. The last stdout line
+# carries the ones BENCHMARK.json lists; the results file keeps all that apply.
 UNITS = {
     "setup_s": "s",
     "job_s": "s",
@@ -119,12 +119,14 @@ def _metric(values: list[float]) -> dict:
 def end_to_end(m: dict, measured: list[dict]) -> dict[str, dict]:
     params = m["params"] * len(m["models"])
     ok = [r for r in measured if r["ok"]]
-    return {
+    out = {
         "job_s": _metric([r["job_s"] for r in ok]),
         "merge_mparams_per_s": _metric([params / 1e6 / r["merge_s"] for r in ok]),
-        "capture_ktok_per_s": _metric([r["capture_tokens"] / 1e3 / r["capture_s"] for r in ok]),
-        "eval_ktok_per_s": _metric([r["eval_tokens"] / 1e3 / r["eval_s"] for r in ok]),
     }
+    if ok[0]["capture_tokens"]:  # only jobs that run the runtime
+        out["capture_ktok_per_s"] = _metric([r["capture_tokens"] / 1e3 / r["capture_s"] for r in ok])
+        out["eval_ktok_per_s"] = _metric([r["eval_tokens"] / 1e3 / r["eval_s"] for r in ok])
+    return out
 
 
 def per_layer(plain: list[dict], traced: list[dict]) -> dict[str, dict]:
@@ -230,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace else None
         ),
         "params": manifest["params"], "fine_tunes": len(manifest["models"]),
-        "environment": environment(),
+        "environment": {**environment(), "reference_kernel_ms": raw["reference_kernel_ms"]},
         "errors": [r["error"] for r in records if not r["ok"]],
         "metrics": metrics,
     }

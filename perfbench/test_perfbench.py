@@ -62,8 +62,12 @@ def test_smoke_run_emits_every_named_metric_with_its_unit(workload, trace):
     doc = json.loads(results.read_text())
     assert doc["output_sha256"] and doc["metrics"]["ops_failed"]["value"] == 0.0
     assert doc["environment"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert doc["environment"]["reference_kernel_ms"] > 0
     for name, entry in doc["metrics"].items():
         assert entry["unit"] and entry["samples"] >= 1, name
+    if workload == "pipeline-lewis":
+        assert doc["metrics"]["capture_ktok_per_s"]["value"] > 0
+        assert doc["metrics"]["eval_ktok_per_s"]["value"] > 0
     if trace:
         assert doc["traced_output_identical"] is True
         for name in ONLY_ON[workload]:

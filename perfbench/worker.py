@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import resource
+import statistics
 import sys
 import time
 import traceback
@@ -21,6 +22,24 @@ WARMUP_JOBS = 1
 # Each kind of job (untraced; traced in a traced run) is measured at least
 # this many times, even past --seconds, unless the run's time limit is near.
 MIN_SAMPLES = 3
+
+
+def _reference_ms(repeats: int = 5) -> list[float]:
+    """Times of a fixed numpy kernel that no library change can move.
+
+    The machine's speed drifts while other tenants load it; these times,
+    taken before and after the jobs, let results from different runs be
+    compared with that drift in view.
+    """
+    import numpy as np
+
+    values = np.random.default_rng(0).standard_normal(1 << 20)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        np.sort(values)
+        times.append(1e3 * (time.perf_counter() - t0))
+    return times
 
 
 def _run_one(cfg: dict, m: dict, kind: str, reference: dict) -> dict:
@@ -80,6 +99,7 @@ def main(config_path: str) -> int:
     m = json.loads((Path(cfg["inputs"]) / "manifest.json").read_text())
     Path(cfg["work"]).mkdir(parents=True, exist_ok=True)
 
+    reference_ms = _reference_ms()
     kinds = ["plain", "traced"] if cfg["trace"] else ["plain"]
     reference: dict = {}
     records = []
@@ -102,6 +122,7 @@ def main(config_path: str) -> int:
         if min(counts.values()) >= 1 and now - began + 2 * longest > cfg["budget_s"]:
             break
 
+    reference_ms += _reference_ms()
     usage = resource.getrusage(resource.RUSAGE_SELF)
     result = {
         "records": records,
@@ -109,6 +130,7 @@ def main(config_path: str) -> int:
         "measure_s": time.perf_counter() - start,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB on Linux
         "output_sha256": reference.get("sha256"),
+        "reference_kernel_ms": statistics.median(reference_ms),
     }
     Path(cfg["result"]).write_text(json.dumps(result))
     return 0

@@ -8,12 +8,14 @@ merge-ties-bf16
     with `ties`, then a write. Magnitude trim, sign election, the threaded
     TIES path and the BF16 codec do most of the work; the runtime does none.
 merge-dare-linear-f32
-    ~21M-param F32 model (12 blocks, d=384, mlp 1536), 2 fine-tunes. The job
+    ~9.6M-param F32 model (12 blocks, d=256, mlp 1024), 2 fine-tunes. The job
     is `dare-linear`, then a write. Read IO and Philox random drop dominate;
     it runs the serial `assemble_merged` path and the F32 codec with no trim
     and no election, so a trim or TIES change should leave it flat, while a
     change to the read path or to float64 copies shows here most (largest
-    peak RSS).
+    input bytes and peak RSS). It is cut down from ~21M params, whose ~1.6 GB
+    of page-faulting float64 copies per job made run-to-run spread too wide
+    on a shared 2-core machine.
 pipeline-lewis
     The README flow in-process through `lewis.cli.main`: capture for base +
     2 fine-tunes, plan (lewis-minmax) x2, merge (ties), eval, on a ~1.2M-param
@@ -55,8 +57,8 @@ class Spec:
     dtype: str  # stored dtype of every tensor
     fine_tunes: int
     method: str  # "pipeline" runs the CLI flow instead of one merge
-    samples: int  # calibration samples (pipeline) or output-check samples
-    tokens: int  # tokens per sample
+    samples: int = 0  # calibration samples (pipeline only)
+    tokens: int = 0  # tokens per calibration sample
 
 
 def _arch(blocks: int, d: int, heads: int, mlp: int, seq: int) -> dict:
@@ -64,15 +66,15 @@ def _arch(blocks: int, d: int, heads: int, mlp: int, seq: int) -> dict:
 
 
 SPECS = {
-    "merge-ties-bf16": Spec(_arch(8, 256, 4, 1024, 128), "BF16", 3, "ties", 4, 32),
-    "merge-dare-linear-f32": Spec(_arch(12, 384, 6, 1536, 128), "F32", 2, "dare-linear", 4, 32),
+    "merge-ties-bf16": Spec(_arch(8, 256, 4, 1024, 128), "BF16", 3, "ties"),
+    "merge-dare-linear-f32": Spec(_arch(12, 256, 4, 1024, 128), "F32", 2, "dare-linear"),
     "pipeline-lewis": Spec(_arch(6, 128, 4, 512, 128), "F32", 2, "pipeline", 24, 128),
 }
 
 # Tiny sizes with the same code paths, for the benchmark's own tests.
 SMOKE_SPECS = {
-    "merge-ties-bf16": Spec(_arch(2, 16, 2, 32, 16), "BF16", 3, "ties", 2, 8),
-    "merge-dare-linear-f32": Spec(_arch(2, 16, 2, 32, 16), "F32", 2, "dare-linear", 2, 8),
+    "merge-ties-bf16": Spec(_arch(2, 16, 2, 32, 16), "BF16", 3, "ties"),
+    "merge-dare-linear-f32": Spec(_arch(2, 16, 2, 32, 16), "F32", 2, "dare-linear"),
     "pipeline-lewis": Spec(_arch(2, 16, 2, 32, 16), "F32", 2, "pipeline", 4, 16),
 }
 
@@ -97,7 +99,7 @@ def header_metadata(path: str | Path) -> dict[str, str] | None:
 # --------------------------------------------------------------------------- #
 
 def setup(name: str, spec: Spec, seed: int, inputs: Path) -> dict:
-    """Write the models, the token set and (merge workloads) the plans; return the manifest."""
+    """Write the models and the plans (merge workloads) or the calibration set; return the manifest."""
     inputs.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([seed, 0x1E5])
     arch = lewis.ArchConfig(**spec.arch)
@@ -121,20 +123,20 @@ def setup(name: str, spec: Spec, seed: int, inputs: Path) -> dict:
         lewis.write_checkpoint(lewis.Checkpoint(tensors, spec.dtype), path)
         model_paths.append(str(path))
 
-    samples = [[int(t) for t in rng.integers(0, arch.vocab_size, size=spec.tokens)]
-               for _ in range(spec.samples)]
-    lewis.CalibrationSet(samples).save(inputs / "tokens.jsonl")
-    arch.save(inputs / "arch.json")
-
     plan_paths = []
-    if spec.method != "pipeline":
+    if spec.method == "pipeline":
+        arch.save(inputs / "arch.json")
+        samples = [[int(t) for t in rng.integers(0, arch.vocab_size, size=spec.tokens)]
+                   for _ in range(spec.samples)]
+        lewis.CalibrationSet(samples).save(inputs / "tokens.jsonl")
+    else:
         # Synthetic profiles whose per-block deviation follows the planted
         # delta scale stand in for a capture run, which is not part of these jobs.
         base_norms = rng.uniform(1.0, 2.0, size=arch.num_blocks)
-        base_profile = lewis.ActivationProfile("base", dict(enumerate(base_norms)), spec.samples)
+        base_profile = lewis.ActivationProfile("base", dict(enumerate(base_norms)), 1)
         for p in range(spec.fine_tunes):
             norms = base_norms + 10.0 * scales[p]
-            profile = lewis.ActivationProfile(f"ft{p}", dict(enumerate(norms)), spec.samples)
+            profile = lewis.ActivationProfile(f"ft{p}", dict(enumerate(norms)), 1)
             plan = lewis.build_plan_lewis(profile, base_profile, lewis.SparsityBounds(*BOUNDS), "minmax")
             path = inputs / f"ft{p}.plan.json"
             plan.save(path)
@@ -149,11 +151,9 @@ def setup(name: str, spec: Spec, seed: int, inputs: Path) -> dict:
         "base": str(inputs / "base.safetensors"),
         "models": model_paths,
         "plans": plan_paths,
-        "arch": str(inputs / "arch.json"),
-        "tokens": str(inputs / "tokens.jsonl"),
-        "input_sha256": {
-            p.name: file_sha256(p) for p in sorted(inputs.iterdir()) if p.suffix != ".json"
-        },
+        "arch": str(inputs / "arch.json"),  # pipeline only
+        "tokens": str(inputs / "tokens.jsonl"),  # pipeline only
+        "input_sha256": {p.name: file_sha256(p) for p in sorted(inputs.iterdir())},
     }
     (inputs / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
@@ -168,8 +168,7 @@ class JobResult:
     job_s: float
     merge_s: float  # merge + write
     output: str
-    # Runtime timings: the pipeline's capture and eval steps, or on the merge
-    # workloads the output check's run of the merged model.
+    # The pipeline's capture and eval steps; merge jobs run no runtime.
     capture_s: float = 0.0
     capture_tokens: int = 0
     eval_s: float = 0.0
@@ -300,10 +299,8 @@ def check_output(m: dict, result: JobResult, reference_sha: str | None) -> str:
 
     Every workload: the merged file reads back; keyset, shapes and dtypes
     equal the base's; every value is finite; the sha256 equals the run's
-    first job's. Merge workloads also run the merged model (capture and
-    eval on the check token set, both finite); these runtime timings feed
-    `capture_ktok_per_s`/`eval_ktok_per_s` there and are not part of the job.
-    Pipeline: the eval loss is finite and plan densities lie in [gamma, epsilon].
+    first job's. Pipeline: the eval loss is finite and plan densities lie in
+    [gamma, epsilon].
     """
     sha = file_sha256(result.output)
     if reference_sha is not None and sha != reference_sha:
@@ -326,20 +323,4 @@ def check_output(m: dict, result: JobResult, reference_sha: str | None) -> str:
             values = [*plan.densities.values(), plan.default_density]
             if not all(BOUNDS[0] <= v <= BOUNDS[1] for v in values):
                 raise CheckFailed(f"plan densities {values} outside {list(BOUNDS)}")
-        return sha
-
-    arch = lewis.ArchConfig.load(m["arch"])
-    calib = lewis.CalibrationSet.from_file(m["tokens"])
-    t0 = time.perf_counter()
-    profile = lewis.profile_model(merged, arch, calib)
-    result.capture_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    result.eval_loss = lewis.eval_loss(merged, arch, calib)
-    result.eval_s = time.perf_counter() - t0
-    n_tokens = sum(len(s) for s in calib.samples)
-    result.capture_tokens, result.eval_tokens = n_tokens, n_tokens - len(calib)
-    if not all(math.isfinite(v) for v in profile.layer_norms.values()):
-        raise CheckFailed("merged model's activation norms are not finite")
-    if not math.isfinite(result.eval_loss):
-        raise CheckFailed(f"merged model's eval loss is not finite: {result.eval_loss}")
     return sha
