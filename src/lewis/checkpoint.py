@@ -149,21 +149,6 @@ class Checkpoint:
     def num_elements(self) -> int:
         return sum(arr.size for arr in self.tensors.values())
 
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            {name: arr.copy() for name, arr in self.tensors.items()},
-            dict(self.dtypes),
-            None if self.metadata is None else dict(self.metadata),
-        )
-
-    def with_metadata(self, metadata: Mapping[str, str] | None) -> "Checkpoint":
-        """Same tensors, replaced metadata."""
-        out = Checkpoint.__new__(Checkpoint)
-        out.tensors = self.tensors
-        out.dtypes = self.dtypes
-        out.metadata = None if metadata is None else dict(metadata)
-        return out
-
     def __len__(self) -> int:
         return len(self.tensors)
 

@@ -28,7 +28,7 @@ from .importance import (
     build_plan_uniform,
     importance_deltas,
 )
-from .merge_methods import merge, resolve_plans
+from .merge_methods import _model_ids, merge, resolve_plans
 from .pruning import effective_mean_density
 from .roles import BLOCK_KINDS, detect_naming_scheme, role_classifier
 from .runtime import ArchConfig, CalibrationSet, eval_loss, profile_model
@@ -125,7 +125,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             seed=args.seed,
             naming_scheme=args.scheme,
         )
-    model_ids = [Path(p).stem for p in recipe.model_paths]
+    model_ids = _model_ids(recipe.model_paths)
     plans = resolve_plans(recipe, model_ids)
     merged = merge(recipe, plans)
     save_checkpoint(merged, args.out)

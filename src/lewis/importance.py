@@ -113,11 +113,10 @@ class ActivationProfile:
 
 @dataclass
 class ImportanceScores:
-    """Raw per-block norm deviations, optionally with their normalized densities."""
+    """Raw per-block norm deviations."""
 
     model_id: str
     raw: dict[int, float]
-    normalized: dict[int, float] | None = None
 
 
 @dataclass
@@ -277,7 +276,6 @@ def build_plan_lewis(
     """Activation-guided plan: deviation-proportional densities within bounds."""
     scores = importance_deltas(model_profile, base_profile)
     densities = normalize_and_clip(scores.raw, bounds, mode)
-    scores.normalized = densities
     return SparsityPlan(
         model_id=model_profile.model_id,
         mode=f"lewis-{mode}",

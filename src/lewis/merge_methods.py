@@ -1,12 +1,15 @@
 """Merge-method dispatch: task arithmetic, TIES, and the DARE variants.
 
-All four methods share the same skeleton: extract task vectors, prune each
-one at its plan's densities, combine. Task arithmetic and dare-linear sum
-the alpha-scaled pruned deltas directly; ties and dare-ties first elect a
-per-parameter sign by total magnitude across models and average only the
-deltas that agree with it. Alphas are applied as a global per-model scale
-before sign election, so the single-model full-density merge is exactly
-the fine-tuned checkpoint.
+All four methods run one flow. The base is loaded once; then each model in
+turn is loaded, turned into a task vector and pruned at its plan's
+densities (magnitude trim for task-arithmetic and ties, random drop and
+rescale for the DARE methods), and only the pruned vector is kept. One
+per-tensor function then combines the pruned vectors, on LEWIS_THREADS
+workers: task arithmetic and dare-linear add the alpha-scaled deltas to the
+base in model order; ties and dare-ties first elect a per-parameter sign by
+total magnitude across models and average only the deltas that agree with
+it. Alphas are applied as a global per-model scale before sign election, so
+the single-model full-density merge is exactly the fine-tuned checkpoint.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from .pruning import apply_plan, mix_seed
 from .roles import detect_naming_scheme, role_classifier
 from .task_vectors import (
     MergeRecipe,
-    TaskVector,
-    assemble_merged,
     compute_task_vector,
     finalize_checkpoint,
+    linear_combine,
 )
 
 
@@ -109,25 +111,23 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     and per-model labels.
     """
     base = load_checkpoint(recipe.base_path)
-    models = [load_checkpoint(p) for p in recipe.model_paths]
     model_ids = _model_ids(recipe.model_paths)
     if plans is None:
         plans = resolve_plans(recipe, model_ids)
-    if len(plans) != len(models):
-        raise RecipeError(f"{len(models)} models but {len(plans)} plans")
+    if len(plans) != len(recipe.model_paths):
+        raise RecipeError(f"{len(recipe.model_paths)} models but {len(plans)} plans")
 
     scheme = recipe.naming_scheme or detect_naming_scheme(base.names())
     roles = role_classifier(scheme)
 
-    tvs = [
-        compute_task_vector(base, model, model_id)
-        for model, model_id in zip(models, model_ids)
-    ]
     g_mode = "magnitude" if recipe.method in ("task-arithmetic", "ties") else "random"
-    pruned = [
-        apply_plan(tv, plan, g_mode, roles, seed=mix_seed(recipe.seed, f"model-{p}"))
-        for p, (tv, plan) in enumerate(zip(tvs, plans))
-    ]
+    pruned = []
+    for p, (path, model_id, plan) in enumerate(zip(recipe.model_paths, model_ids, plans)):
+        # Whole-model prune on the main thread: perfbench's traced run wraps this apply_plan.
+        pruned.append(apply_plan(
+            compute_task_vector(base, load_checkpoint(path), model_id),
+            plan, g_mode, roles, seed=mix_seed(recipe.seed, f"model-{p}"),
+        ))
 
     metadata = {
         "merge.method": recipe.method,
@@ -141,20 +141,13 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     for model_id, plan in zip(model_ids, plans):
         metadata[f"merge.plan_digest.{model_id}"] = plan.digest()
 
-    if recipe.method in ("task-arithmetic", "dare-linear"):
-        return assemble_merged(base, pruned, recipe.alphas, metadata)
-    return _ties_merge(base, pruned, recipe.alphas, metadata)
+    elect = recipe.method in ("ties", "dare-ties")
 
-
-def _ties_merge(
-    base: Checkpoint,
-    pruned: Sequence[TaskVector],
-    alphas: Sequence[float],
-    metadata: dict[str, str],
-) -> Checkpoint:
     def combine(name: str) -> np.ndarray:
-        stack = np.stack([float(a) * tv[name] for tv, a in zip(pruned, alphas)])
+        deltas = [tv[name] for tv in pruned]
+        if not elect:
+            return linear_combine(base[name], deltas, recipe.alphas)
+        stack = np.stack([float(a) * d for d, a in zip(deltas, recipe.alphas)])
         return base[name] + ties_combine(stack)
 
-    tensors = _map_tensors(base.names(), combine)
-    return finalize_checkpoint(tensors, base, metadata)
+    return finalize_checkpoint(_map_tensors(base.names(), combine), base, metadata)

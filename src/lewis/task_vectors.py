@@ -72,18 +72,27 @@ def assemble_merged(
         raise RecipeError(f"{len(pruned_deltas)} task vectors but {len(alphas)} alphas")
     for tv in pruned_deltas:
         _require_same_keys(base.names(), tv.names(), f"merge with {tv.source_model_id!r}")
-    merged: dict[str, np.ndarray] = {}
-    for name in base.names():
-        acc = base[name].copy()
-        for tv, alpha in zip(pruned_deltas, alphas):
-            delta = tv[name]
-            if delta.shape != acc.shape:
+        for name in base.names():
+            if tv[name].shape != base[name].shape:
                 raise ShapeMismatchError(
-                    f"tensor {name!r}: base shape {list(acc.shape)} vs delta shape {list(delta.shape)}"
+                    f"tensor {name!r}: base shape {list(base[name].shape)} "
+                    f"vs delta shape {list(tv[name].shape)}"
                 )
-            acc += float(alpha) * delta
-        merged[name] = acc
+    merged = {
+        name: linear_combine(base[name], [tv[name] for tv in pruned_deltas], alphas)
+        for name in base.names()
+    }
     return finalize_checkpoint(merged, base, metadata)
+
+
+def linear_combine(
+    base: np.ndarray, deltas: Sequence[np.ndarray], alphas: Sequence[float]
+) -> np.ndarray:
+    """One tensor of a linear merge: base + sum_p alpha_p * delta_p, summed in model order."""
+    acc = base.copy()
+    for delta, alpha in zip(deltas, alphas):
+        acc += float(alpha) * delta
+    return acc
 
 
 def finalize_checkpoint(

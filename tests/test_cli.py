@@ -207,6 +207,24 @@ class TestMerge:
         assert "mean density" in out
         assert "0.5000" in out
 
+    def test_same_stem_models_get_distinct_ids(self, workspace, capsys):
+        for sub in ("a", "b"):
+            (workspace / sub).mkdir()
+            (workspace / sub / "m.safetensors").write_bytes(
+                (workspace / "fine.safetensors").read_bytes()
+            )
+        code = run([
+            "merge", "--base", workspace / "base.safetensors",
+            "--model", workspace / "a" / "m.safetensors",
+            "--model", workspace / "b" / "m.safetensors",
+            "--density", "0.5", "--out", workspace / "merged.safetensors",
+        ])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[3:5]
+        assert [row.split()[0] for row in rows] == ["m", "m#1"]
+        merged = lewis.read_checkpoint(workspace / "merged.safetensors")
+        assert merged.metadata["merge.models"] == "m,m#1"
+
     def test_missing_base_is_error(self, workspace, capsys):
         code = run([
             "merge", "--model", workspace / "fine.safetensors",

@@ -15,6 +15,8 @@ from lewis import (
     write_checkpoint,
 )
 from lewis.errors import RecipeError
+from lewis.pruning import mix_seed
+from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
 
 
 def elect_oracle(values):
@@ -276,13 +278,65 @@ class TestMerge:
             assert merged.names() == base.names()
             assert all(np.all(np.isfinite(merged[n])) for n in merged.names())
 
-    def test_threads_env_does_not_change_result(self, tmp_path, small_arch, monkeypatch):
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_threads_env_does_not_change_result(self, tmp_path, small_arch, monkeypatch, method):
         _, _, base_path, fine_path = _write_pair(tmp_path, small_arch)
         recipe = MergeRecipe(
             base_path=str(base_path), model_paths=[str(fine_path)],
-            method="dare-ties", plan_refs=0.5, seed=9,
+            method=method, plan_refs=0.5, seed=9,
         )
         serial = merge(recipe)
         monkeypatch.setenv("LEWIS_THREADS", "4")
         threaded = merge(recipe)
         assert serial == threaded
+
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_merge_matches_public_recomposition(self, tmp_path, small_arch, method):
+        """merge() writes the bytes of task vector -> prune -> combine -> finalize."""
+        base = lewis.random_checkpoint(small_arch, seed=61)
+        rng = np.random.default_rng(62)
+        paths = []
+        for i in range(2):
+            fine = Checkpoint(
+                {n: base[n] + rng.standard_normal(base[n].shape) for n in base.names()},
+                dict(base.dtypes),
+            )
+            paths.append(tmp_path / f"f{i}.safetensors")
+            write_checkpoint(fine, paths[-1])
+        write_checkpoint(base, tmp_path / "base.safetensors")
+        plans = [
+            build_plan_uniform(0.5, "f0"),
+            lewis.SparsityPlan(model_id="f1", mode="lewis-minmax", densities={0: 0.4, 1: 0.9},
+                               default_density=0.65),
+        ]
+        recipe = MergeRecipe(
+            base_path=str(tmp_path / "base.safetensors"), model_paths=[str(p) for p in paths],
+            alphas=[0.7, -1.3], method=method, seed=17,
+        )
+        merged = merge(recipe, plans)
+
+        base = lewis.read_checkpoint(recipe.base_path)
+        roles = lewis.role_classifier("toy")
+        mode = "magnitude" if method in ("task-arithmetic", "ties") else "random"
+        pruned = [
+            lewis.apply_plan(
+                lewis.compute_task_vector(base, lewis.read_checkpoint(path), f"f{p}"),
+                plan, mode, roles, seed=mix_seed(recipe.seed, f"model-{p}"),
+            )
+            for p, (path, plan) in enumerate(zip(paths, plans))
+        ]
+        if method in ("task-arithmetic", "dare-linear"):
+            expected = lewis.assemble_merged(base, pruned, recipe.alphas, merged.metadata)
+        else:
+            tensors = {
+                n: base[n] + ties_combine(
+                    np.stack([a * tv[n] for tv, a in zip(pruned, recipe.alphas)])
+                )
+                for n in base.names()
+            }
+            expected = finalize_checkpoint(tensors, base, merged.metadata)
+        write_checkpoint(merged, tmp_path / "merged.safetensors")
+        write_checkpoint(expected, tmp_path / "expected.safetensors")
+        assert (tmp_path / "merged.safetensors").read_bytes() == (
+            tmp_path / "expected.safetensors"
+        ).read_bytes()

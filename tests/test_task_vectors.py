@@ -6,6 +6,7 @@ import pytest
 from lewis import (
     Checkpoint,
     MergeRecipe,
+    TaskVector,
     assemble_merged,
     compute_task_vector,
 )
@@ -109,6 +110,12 @@ class TestAssembleMerged:
         tv = compute_task_vector(base, base, "m")
         with pytest.raises(RecipeError):
             assemble_merged(base, [tv], [1.0, 2.0])
+
+    def test_broadcastable_delta_shape_rejected(self):
+        base = Checkpoint({"w": np.ones(3)})
+        tv = TaskVector(deltas={"w": np.ones(1)}, source_model_id="m")
+        with pytest.raises(ShapeMismatchError, match=r"\[3\].*\[1\]"):
+            assemble_merged(base, [tv], [1.0])
 
     def test_metadata_attached(self):
         base = Checkpoint({"w": np.ones(2)})
