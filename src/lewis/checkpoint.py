@@ -28,6 +28,7 @@ on the ".json" extension.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -40,6 +41,7 @@ from .errors import (
     HeaderParseError,
     InvalidTensorError,
     UnknownDtypeError,
+    load_document,
 )
 
 DTYPES = ("F32", "F16", "BF16")
@@ -108,6 +110,22 @@ def _validate_shape(name: str, shape: tuple[int, ...]) -> None:
         raise InvalidTensorError(f"tensor {name!r} has an empty shape")
     if any(int(d) <= 0 for d in shape):
         raise InvalidTensorError(f"tensor {name!r} has non-positive extent in shape {list(shape)}")
+
+
+def _int_list(
+    path: str | Path, name: str, field: str, value: object, length: int | None = None
+) -> tuple[int, ...]:
+    """`value` as a tuple if it is a list of ints (bools rejected), of `length` items if given."""
+    if (
+        not isinstance(value, list)
+        or any(type(v) is not int for v in value)
+        or (length is not None and len(value) != length)
+    ):
+        count = "" if length is None else f"{length} "
+        raise HeaderParseError(
+            f"{path}: tensor {name!r} {field} must be a list of {count}ints, got {value!r}"
+        )
+    return tuple(value)
 
 
 class Checkpoint:
@@ -246,10 +264,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         dtype = entry["dtype"]
         if dtype not in DTYPES:
             raise UnknownDtypeError(f"{path}: tensor {name!r} has unknown dtype {dtype!r}")
-        shape = tuple(int(d) for d in entry["shape"])
+        shape = _int_list(path, name, "shape", entry["shape"])
         _validate_shape(name, shape)
-        begin, end = (int(v) for v in entry["data_offsets"])
-        expected = int(np.prod(shape)) * _DTYPE_ITEMSIZE[dtype]
+        begin, end = _int_list(path, name, "data_offsets", entry["data_offsets"], 2)
+        expected = math.prod(shape) * _DTYPE_ITEMSIZE[dtype]
         if begin < 0 or end > len(data) or begin > end:
             raise DataOffsetError(
                 f"{path}: tensor {name!r} offsets [{begin}, {end}] outside data region of {len(data)} bytes"
@@ -292,26 +310,25 @@ def write_text_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def read_text_checkpoint(path: str | Path) -> Checkpoint:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise HeaderParseError(f"{path}: not valid structured text: {exc}") from exc
-    tensors = {}
-    dtypes = {}
-    for name, entry in doc.get("tensors", {}).items():
-        dtype = entry.get("dtype", "F32")
-        if dtype not in DTYPES:
-            raise UnknownDtypeError(f"{path}: tensor {name!r} has unknown dtype {dtype!r}")
-        shape = tuple(int(d) for d in entry["shape"])
-        _validate_shape(name, shape)
-        values = np.asarray(entry["values"], dtype=np.float64)
-        if values.size != int(np.prod(shape)):
-            raise InvalidTensorError(
-                f"{path}: tensor {name!r} has {values.size} values for shape {list(shape)}"
-            )
-        tensors[name] = values.reshape(shape)
-        dtypes[name] = dtype
-    return Checkpoint(tensors, dtypes, doc.get("metadata"))
+    def build(doc: dict) -> Checkpoint:
+        tensors = {}
+        dtypes = {}
+        for name, entry in doc.get("tensors", {}).items():
+            dtype = entry.get("dtype", "F32")
+            if dtype not in DTYPES:
+                raise UnknownDtypeError(f"{path}: tensor {name!r} has unknown dtype {dtype!r}")
+            shape = _int_list(path, name, "shape", entry["shape"])
+            _validate_shape(name, shape)
+            values = np.asarray(entry["values"], dtype=np.float64)
+            if values.size != math.prod(shape):
+                raise InvalidTensorError(
+                    f"{path}: tensor {name!r} has {values.size} values for shape {list(shape)}"
+                )
+            tensors[name] = values.reshape(shape)
+            dtypes[name] = dtype
+        return Checkpoint(tensors, dtypes, doc.get("metadata"))
+
+    return load_document(path, build, HeaderParseError)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

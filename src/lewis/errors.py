@@ -3,10 +3,16 @@
 Every failure the library raises on purpose derives from MergeError so
 callers (and the CLI) can catch one type. Checkpoint-file problems get
 their own subtree with one class per failure mode; messages always name
-the offending tensor where one exists.
+the offending tensor where one exists. `load_document` turns a malformed
+JSON document (arch, profile, plan, recipe, text checkpoint) into its own
+subclass.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable
 
 
 class MergeError(Exception):
@@ -59,3 +65,20 @@ class RecipeError(MergeError):
 
 class ArchError(MergeError):
     """A checkpoint does not match the architecture it is being run as."""
+
+
+def load_document(path: str | Path, build: Callable[[Any], Any], error: type[MergeError]) -> Any:
+    """Parse the JSON file at `path` and build an object from it with `build`.
+
+    Invalid JSON, a missing field (KeyError) and a field of the wrong name,
+    type or value (AttributeError, TypeError, ValueError) raised while
+    building become `error`, prefixed with the path.
+    """
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise error(f"{path}: missing required field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from exc

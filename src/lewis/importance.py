@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import PlanError, ProfileMismatchError
+from .errors import PlanError, ProfileMismatchError, load_document
 from .roles import BLOCK_KINDS, TensorRole
 
 PLAN_MODES = ("lewis-literal", "lewis-minmax", "uniform", "topk", "layer-type")
@@ -80,9 +80,6 @@ class ActivationProfile:
             if not math.isfinite(value) or value < 0:
                 raise ProfileMismatchError(f"layer {layer} norm must be finite and >= 0, got {value}")
 
-    def num_layers(self) -> int:
-        return len(self.layer_norms)
-
     def to_dict(self) -> dict:
         return {
             "model_id": self.model_id,
@@ -105,7 +102,7 @@ class ActivationProfile:
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivationProfile":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return load_document(path, cls.from_dict, ProfileMismatchError)
 
     def digest(self) -> str:
         return sha256_hex(canonical_json(self.to_dict()))
@@ -197,7 +194,7 @@ class SparsityPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "SparsityPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return load_document(path, cls.from_dict, PlanError)
 
     def digest(self) -> str:
         return sha256_hex(canonical_json(self.to_dict()))

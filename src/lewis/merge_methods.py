@@ -4,8 +4,8 @@ All four methods run one flow. The base is loaded once; then each model in
 turn is loaded, turned into a task vector and pruned at its plan's
 densities (magnitude trim for task-arithmetic and ties, random drop and
 rescale for the DARE methods), and only the pruned vector is kept. One
-per-tensor function then combines the pruned vectors, on LEWIS_THREADS
-workers: task arithmetic and dare-linear add the alpha-scaled deltas to the
+per-tensor function then combines the pruned vectors, one tensor at a
+time: task arithmetic and dare-linear add the alpha-scaled deltas to the
 base in model order; ties and dare-ties first elect a per-parameter sign by
 total magnitude across models and average only the deltas that agree with
 it. Alphas are applied as a global per-model scale before sign election, so
@@ -15,10 +15,8 @@ the single-model full-density merge is exactly the fine-tuned checkpoint.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,24 +65,6 @@ def ties_combine(stack: np.ndarray) -> np.ndarray:
     count = agree.sum(axis=0)
     total = np.where(agree, stack, 0.0).sum(axis=0)
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LEWIS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_tensors(names: list[str], fn: Callable[[str], np.ndarray]) -> dict[str, np.ndarray]:
-    """Apply fn per tensor, optionally in parallel; output order is canonical."""
-    workers = _worker_count()
-    if workers <= 1 or len(names) < 2:
-        return {name: fn(name) for name in names}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, names))
-    return dict(zip(names, results))
 
 
 def _model_ids(paths: Sequence[str]) -> list[str]:
@@ -150,4 +130,4 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
         stack = np.stack([float(a) * d for d, a in zip(deltas, recipe.alphas)])
         return base[name] + ties_combine(stack)
 
-    return finalize_checkpoint(_map_tensors(base.names(), combine), base, metadata)
+    return finalize_checkpoint({name: combine(name) for name in base.names()}, base, metadata)

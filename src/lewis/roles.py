@@ -97,12 +97,7 @@ _SCHEMES: dict[str, Callable[[str], TensorRole]] = {
 
 def classify_tensor(name: str, naming_scheme: str) -> TensorRole:
     """Classify `name` under a registered scheme. Total: unknown names are Other."""
-    try:
-        return _SCHEMES[naming_scheme](name)
-    except KeyError:
-        raise ValueError(
-            f"unregistered naming scheme {naming_scheme!r}; known: {sorted(_SCHEMES)}"
-        ) from None
+    return role_classifier(naming_scheme)(name)
 
 
 def role_classifier(naming_scheme: str) -> Callable[[str], TensorRole]:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 from .checkpoint import Checkpoint
-from .errors import ArchError
+from .errors import ArchError, load_document
 from .importance import NORM_CONVENTIONS, ActivationProfile
 
 _RMS_EPS = 1e-6
@@ -53,7 +53,7 @@ class ArchConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ArchConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        return load_document(path, lambda doc: cls(**doc), ArchError)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .checkpoint import Checkpoint, keyset_diff
-from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError
+from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError, load_document
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
 
@@ -150,31 +150,23 @@ class MergeRecipe:
 
     @classmethod
     def load(cls, path: str | Path) -> "MergeRecipe":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise RecipeError(f"{path}: not valid structured text: {exc}") from exc
-        root = path.parent
+        root = Path(path).parent  # an absolute path joined onto root stays as it is
 
-        def resolve(p: str) -> str:
-            return str((root / p) if not Path(p).is_absolute() else Path(p))
-
-        plan_refs = doc.get("plan_refs")
-        if isinstance(plan_refs, list):
-            plan_refs = [resolve(p) for p in plan_refs]
-        try:
+        def build(doc: dict) -> "MergeRecipe":
+            plan_refs = doc.get("plan_refs")
+            if isinstance(plan_refs, list):
+                plan_refs = [str(root / p) for p in plan_refs]
             return cls(
-                base_path=resolve(doc["base_path"]),
-                model_paths=[resolve(p) for p in doc["model_paths"]],
+                base_path=str(root / doc["base_path"]),
+                model_paths=[str(root / p) for p in doc["model_paths"]],
                 alphas=[float(a) for a in doc.get("alphas", [])],
                 method=doc.get("method", "ties"),
                 plan_refs=plan_refs,
                 seed=int(doc.get("seed", 0)),
                 naming_scheme=doc.get("naming_scheme"),
             )
-        except KeyError as exc:
-            raise RecipeError(f"{path}: missing required field {exc}") from exc
+
+        return load_document(path, build, RecipeError)
 
     def save(self, path: str | Path) -> None:
         doc = {

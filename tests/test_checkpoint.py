@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lewis import (
     Checkpoint,
@@ -19,6 +21,7 @@ from lewis import (
     write_text_checkpoint,
 )
 from lewis.errors import (
+    CheckpointError,
     DataOffsetError,
     HeaderLengthError,
     HeaderParseError,
@@ -189,6 +192,61 @@ class TestFormatErrors:
         path = self._raw_file(tmp_path, header, b"\0" * 12)
         with pytest.raises(DataOffsetError, match="overlap"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shape", 5),
+            ("shape", "ab"),
+            ("shape", [2.7]),
+            ("shape", [True, 2]),
+            ("shape", None),
+            ("data_offsets", None),
+            ("data_offsets", [0]),
+            ("data_offsets", [0, 4, 8]),
+            ("data_offsets", [0, 8.0]),
+            ("data_offsets", [False, 8]),
+        ],
+    )
+    def test_malformed_table_entry_names_tensor(self, tmp_path, field, value):
+        header = {"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8], field: value}}
+        path = self._raw_file(tmp_path, header, b"\0" * 8)
+        with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: tensor 'w' {field}"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "tensors",
+        [
+            {"w": {"dtype": "F32", "values": [1.0]}},
+            {"w": {"shape": "ab", "values": [1.0]}},
+            {"w": {"shape": [1], "values": ["x"]}},
+            {"w": [1.0]},
+            [],
+        ],
+    )
+    def test_malformed_text_entry_names_file(self, tmp_path, tensors):
+        path = tmp_path / "fix.json"
+        path.write_text(json.dumps({"tensors": tensors}))
+        with pytest.raises(HeaderParseError, match=re.escape(str(path))):
+            read_text_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        field=st.sampled_from(["shape", "data_offsets", "dtype"]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=8,
+        ),
+    )
+    def test_any_table_value_raises_only_checkpoint_error(self, tmp_path, field, value):
+        header = {"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8], field: value}}
+        path = self._raw_file(tmp_path, header, b"\0" * 8)
+        try:
+            read_checkpoint(path)
+        except CheckpointError:
+            pass
 
     def test_zero_element_tensor_rejected(self):
         with pytest.raises(InvalidTensorError):

@@ -233,6 +233,46 @@ class TestMerge:
         assert code == 1
 
 
+def _capture_args(ws, doc):
+    return ["capture", "--model", ws / "fine.safetensors", "--arch", doc,
+            "--calib", ws / "calib.jsonl", "--out", ws / "p.json"]
+
+
+def _plan_args(ws, doc):
+    return ["plan", "--mode", "lewis-minmax", "--profile", doc, "--base-profile", doc,
+            "--out", ws / "plan.json"]
+
+
+def _merge_plan_args(ws, doc):
+    return ["merge", "--base", ws / "base.safetensors", "--model", ws / "fine.safetensors",
+            "--plan", doc, "--out", ws / "m.safetensors"]
+
+
+def _merge_recipe_args(ws, doc):
+    return ["merge", "--recipe", doc, "--out", ws / "m.safetensors"]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "doc, field, args",
+        [
+            ({"vocab_size": 256, "depth": 3}, "depth", _capture_args),
+            ({"model_id": "m", "layer_norms": {"0": 1.0}}, "num_samples", _plan_args),
+            ({"mode": "uniform", "default_density": 0.5}, "model_id", _merge_plan_args),
+            ({"model_paths": ["fine.safetensors"]}, "base_path", _merge_recipe_args),
+        ],
+        ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path"],
+    )
+    def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
+        path = workspace / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(args(workspace, path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err and field in err
+        assert "Traceback" not in err
+
+
 class TestInspectAndEval:
     def test_inspect_trimmed_task_vector(self, workspace, small_arch):
         """Nonzero fractions reflect the per-block plan densities."""

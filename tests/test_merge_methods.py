@@ -279,18 +279,6 @@ class TestMerge:
             assert all(np.all(np.isfinite(merged[n])) for n in merged.names())
 
     @pytest.mark.parametrize("method", MERGE_METHODS)
-    def test_threads_env_does_not_change_result(self, tmp_path, small_arch, monkeypatch, method):
-        _, _, base_path, fine_path = _write_pair(tmp_path, small_arch)
-        recipe = MergeRecipe(
-            base_path=str(base_path), model_paths=[str(fine_path)],
-            method=method, plan_refs=0.5, seed=9,
-        )
-        serial = merge(recipe)
-        monkeypatch.setenv("LEWIS_THREADS", "4")
-        threaded = merge(recipe)
-        assert serial == threaded
-
-    @pytest.mark.parametrize("method", MERGE_METHODS)
     def test_merge_matches_public_recomposition(self, tmp_path, small_arch, method):
         """merge() writes the bytes of task vector -> prune -> combine -> finalize."""
         base = lewis.random_checkpoint(small_arch, seed=61)
