@@ -19,6 +19,7 @@ from .checkpoint import (
 )
 from .errors import (
     ArchError,
+    CalibrationError,
     CheckpointError,
     DataOffsetError,
     HeaderLengthError,
@@ -65,6 +66,7 @@ __all__ = [
     "ActivationProfile",
     "ArchConfig",
     "ArchError",
+    "CalibrationError",
     "CalibrationSet",
     "Checkpoint",
     "CheckpointError",

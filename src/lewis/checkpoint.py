@@ -13,7 +13,9 @@ primary container is the safetensors layout:
 The writer is canonical: tensor names are serialized in lexicographic
 order, data offsets are contiguous and gapless, and the header is padded
 with trailing spaces to 8-byte alignment, so equal checkpoints always
-produce byte-identical files.
+produce byte-identical files. Both writers fill a temp file beside the
+destination and rename it into place, so a failed write never leaves a
+truncated file behind.
 
 In memory every tensor is widened to float64 for arithmetic; the dtype it
 was stored with (F32, F16 or BF16) is kept per tensor so writing narrows
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import uuid
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -222,11 +226,25 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     pad = (8 - len(header_bytes) % 8) % 8
     header_bytes += b" " * pad
 
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    _write_atomic(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
+
+
+def _write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to a temp file beside `path`, then rename it onto `path`.
+
+    On any failure the temp file is removed and an existing file at `path`
+    is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
@@ -306,7 +324,7 @@ def write_text_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             for name, arr in ckpt.tensors.items()
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+    _write_atomic(path, [json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")])
 
 
 def read_text_checkpoint(path: str | Path) -> Checkpoint:

@@ -67,15 +67,28 @@ class ArchError(MergeError):
     """A checkpoint does not match the architecture it is being run as."""
 
 
+class CalibrationError(MergeError, ValueError):
+    """A calibration JSONL file is empty or holds a malformed record.
+
+    Also a ValueError, so callers that catch ValueError from
+    `CalibrationSet.from_file` keep working.
+    """
+
+
 def load_document(path: str | Path, build: Callable[[Any], Any], error: type[MergeError]) -> Any:
     """Parse the JSON file at `path` and build an object from it with `build`.
 
     Invalid JSON, a missing field (KeyError) and a field of the wrong name,
     type or value (AttributeError, TypeError, ValueError) raised while
-    building become `error`, prefixed with the path.
+    building become `error`, prefixed with the path. A MergeError that
+    `build` raises keeps its class and gains the path prefix if it lacks it.
     """
     try:
         return build(json.loads(Path(path).read_text()))
+    except MergeError as exc:
+        if str(exc).startswith(str(path)):
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
     except KeyError as exc:

@@ -58,10 +58,9 @@ def ties_combine(stack: np.ndarray) -> np.ndarray:
     Equivalent to elect_sign/disjoint_mean applied at every parameter
     position independently.
     """
-    pos = np.where(stack > 0, stack, 0.0).sum(axis=0)
-    neg = np.where(stack < 0, -stack, 0.0).sum(axis=0)
-    sign = np.where(pos >= neg, 1.0, -1.0)
-    agree = (stack * sign) > 0
+    pos = np.fmax(stack, 0.0).sum(axis=0)  # fmax/fmin drop NaN
+    neg = np.fmin(stack, 0.0).sum(axis=0)
+    agree = np.where(pos >= -neg, stack > 0, stack < 0)
     count = agree.sum(axis=0)
     total = np.where(agree, stack, 0.0).sum(axis=0)
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)

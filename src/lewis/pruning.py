@@ -69,10 +69,20 @@ def magnitude_trim(values: np.ndarray, density: float) -> np.ndarray:
     k = trim_count(density, flat.size)
     if k == flat.size:
         return np.array(values, copy=True)
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:k]
-    out[keep] = flat[keep]
+    # Keep order is -|x| ascending, NaN last, ties by flat index: select the
+    # k-th value as a threshold, then admit threshold ties lowest index first.
+    out = np.abs(flat)
+    np.negative(out, out=out)
+    thr = np.partition(out, k - 1)[k - 1]
+    if np.isnan(thr):  # fewer than k non-NaN entries: keep them all, then NaNs
+        keep = ~np.isnan(out)
+        tied = ~keep
+    else:
+        keep = out < thr
+        tied = out == thr
+    keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
+    out.fill(0.0)
+    np.copyto(out, flat, where=keep)
     return out.reshape(np.asarray(values).shape)
 
 
@@ -90,9 +100,9 @@ def random_drop_rescale(
         return np.array(arr, copy=True)
     uniforms = _stream(seed, name).random(arr.size)
     keep = (uniforms < density).reshape(arr.shape)
-    out = np.zeros_like(arr)
-    out[keep] = arr[keep] / density
-    return out
+    # Dropped entries may overflow when rescaled; np.where discards them.
+    with np.errstate(over="ignore"):
+        return np.where(keep, arr / density, 0.0)
 
 
 def apply_plan(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 from .checkpoint import Checkpoint
-from .errors import ArchError, load_document
+from .errors import ArchError, CalibrationError, load_document
 from .importance import NORM_CONVENTIONS, ActivationProfile
 
 _RMS_EPS = 1e-6
@@ -128,22 +128,43 @@ class CalibrationSet:
 
     @classmethod
     def from_file(cls, path: str | Path, max_seq_len: int | None = None) -> "CalibrationSet":
-        """Line-delimited records, each {"text": str} or {"tokens": [ints]}."""
+        """Line-delimited records, each {"text": str} or {"tokens": [ints]}.
+
+        A malformed record, or a file without any, raises CalibrationError
+        naming the path, the 1-based line number and the field.
+        """
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise CalibrationError(f"{path}: not UTF-8 text: {exc}") from exc
         samples: list[list[int]] = []
-        for line in Path(path).read_text().splitlines():
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            where = f"{path}: line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CalibrationError(f"{where}: not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise CalibrationError(f"{where}: record must be an object, got {type(record).__name__}")
             if "tokens" in record:
-                tokens = [int(t) for t in record["tokens"]]
-                if max_seq_len is not None:
-                    tokens = tokens[:max_seq_len]
-                samples.append(tokens)
+                tokens = record["tokens"]
+                if not isinstance(tokens, list) or not tokens or not all(
+                    isinstance(t, int) and not isinstance(t, bool) for t in tokens
+                ):
+                    raise CalibrationError(f"{where}: field 'tokens' must be a non-empty list of ints")
+                samples.append(tokens[:max_seq_len])
             elif "text" in record:
-                samples.append(tokenize(record["text"], max_seq_len))
+                text = record["text"]
+                if not isinstance(text, str) or not text:
+                    raise CalibrationError(f"{where}: field 'text' must be a non-empty string")
+                samples.append(tokenize(text, max_seq_len))
             else:
-                raise ValueError(f"{path}: record without 'text' or 'tokens': {record}")
+                raise CalibrationError(f"{where}: record has neither 'text' nor 'tokens'")
+        if not samples:
+            raise CalibrationError(f"{path}: no calibration records")
         return cls(samples=samples, source=str(path))
 
     def save(self, path: str | Path) -> None:
@@ -180,13 +201,17 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _check_tokens(arch: ArchConfig, tokens: list[int]) -> np.ndarray:
-    toks = np.asarray(tokens, dtype=np.int64)
+    vocab_error = f"token ids must lie in [0, {arch.vocab_size})"
+    try:
+        toks = np.asarray(tokens, dtype=np.int64)
+    except OverflowError as exc:
+        raise ArchError(vocab_error) from exc
     if toks.ndim != 1 or toks.size == 0:
         raise ArchError("token sequence must be a nonempty 1-d list")
     if toks.size > arch.max_seq_len:
         raise ArchError(f"sequence length {toks.size} exceeds max_seq_len {arch.max_seq_len}")
     if toks.min() < 0 or toks.max() >= arch.vocab_size:
-        raise ArchError(f"token ids must lie in [0, {arch.vocab_size})")
+        raise ArchError(vocab_error)
     return toks
 
 

@@ -28,6 +28,7 @@ from lewis.errors import (
     InvalidTensorError,
     UnknownDtypeError,
 )
+import lewis.checkpoint
 from conftest import random_fixture_checkpoint
 
 
@@ -133,6 +134,49 @@ class TestCanonicalWriter:
             assert begin == cursor
             cursor = end
         assert 8 + header_len + cursor == len(raw)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "write, suffix",
+        [(write_checkpoint, ".safetensors"), (write_text_checkpoint, ".json")],
+        ids=["safetensors", "text"],
+    )
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, write, suffix):
+        path = tmp_path / f"m{suffix}"
+        write(Checkpoint({"w": np.arange(64.0)}), path)
+        old = path.read_bytes()
+
+        class FailingFile:
+            """Writes half of the first chunk it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            lewis.checkpoint, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            write(Checkpoint({"w": -np.arange(64.0)}), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "m.safetensors"
+        write_checkpoint(Checkpoint({"w": np.arange(4.0)}), path)
+        write_checkpoint(Checkpoint({"v": np.ones(3)}), path)
+        assert read_checkpoint(path).names() == ["v"]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestFormatErrors:

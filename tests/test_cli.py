@@ -273,6 +273,52 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+    def test_constructor_error_names_plan_file(self, workspace, capsys):
+        path = workspace / "plan.json"
+        path.write_text(json.dumps({"model_id": "m", "mode": "uniform", "default_density": 2.0}))
+        assert run(_merge_plan_args(workspace, path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "default_density" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            (b'{"tokens": [1, 2]}\n{"tokens": 5}\n', "line 2: field 'tokens'"),
+            (b'{"tokens": [1, true]}\n', "line 1: field 'tokens'"),
+            (b'{"tokens": [1, 2.5]}\n', "line 1: field 'tokens'"),
+            (b'\n{"text": 7}\n', "line 2: field 'text'"),
+            (b'{"text": "ok"}\nnot json\n', "line 2: not valid JSON"),
+            (b'[1, 2, 3]\n', "line 1: record must be an object"),
+            (b'{"prompt": "nope"}\n', "line 1: record has neither 'text' nor 'tokens'"),
+            (b'\n\n', "no calibration records"),
+            (b'{"text": "\xff\xfe"}\n', "not UTF-8 text"),
+        ],
+        ids=["tokens-int", "tokens-bool", "tokens-float", "text-int", "not-json", "not-object",
+             "no-field", "empty-file", "not-utf8"],
+    )
+    def test_malformed_calibration(self, workspace, capsys, content, where):
+        path = workspace / "bad.jsonl"
+        path.write_bytes(content)
+        code = run(["capture", "--model", workspace / "fine.safetensors",
+                    "--arch", workspace / "arch.json", "--calib", path, "--out", workspace / "p.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {where}")
+        assert "Traceback" not in err
+
+
+    def test_token_beyond_int64_is_named_error(self, workspace, capsys):
+        path = workspace / "big.jsonl"
+        path.write_text(json.dumps({"tokens": [1, 10**30]}) + "\n")
+        code = run(["capture", "--model", workspace / "fine.safetensors",
+                    "--arch", workspace / "arch.json", "--calib", path, "--out", workspace / "p.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: token ids must lie in [0, 256)")
+        assert "Traceback" not in err
+
+
 class TestInspectAndEval:
     def test_inspect_trimmed_task_vector(self, workspace, small_arch):
         """Nonzero fractions reflect the per-block plan densities."""
