@@ -20,7 +20,9 @@ truncated file behind.
 In memory every tensor is widened to float64 for arithmetic; the dtype it
 was stored with (F32, F16 or BF16) is kept per tensor so writing narrows
 back losslessly. Values are snapped to their stored dtype on construction,
-which is what makes round trips bit-exact.
+which is what makes round trips bit-exact. One rounding rule serves both
+the snap and the writer: float64 rounds to float32, then to F16 or BF16,
+each step to nearest even, and BF16 NaNs keep the quiet bit.
 
 A second, human-readable JSON format exists for tiny test fixtures; both
 formats are reachable through load_checkpoint/save_checkpoint, dispatched
@@ -48,65 +50,35 @@ from .errors import (
     load_document,
 )
 
-DTYPES = ("F32", "F16", "BF16")
+# Each stored dtype's little-endian storage word. A BF16 word is the high
+# half of an F32 word.
+_WORDS = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2"), "BF16": np.dtype("<u2")}
 
-_DTYPE_ITEMSIZE = {"F32": 4, "F16": 2, "BF16": 2}
-
-
-def _bf16_to_f64(raw: bytes) -> np.ndarray:
-    """Decode little-endian bfloat16 bytes to float64 (exact)."""
-    u16 = np.frombuffer(raw, dtype="<u2")
-    u32 = u16.astype("<u4") << 16
-    return u32.view("<f4").astype(np.float64)
+DTYPES = tuple(_WORDS)
 
 
-def _f64_to_bf16_bytes(values: np.ndarray) -> bytes:
-    """Encode float64 to bfloat16 with round-to-nearest-even.
+def _narrow(values: np.ndarray, dtype: str) -> np.ndarray:
+    """Round float64 `values` to `dtype`'s storage words.
 
-    Exact for values already representable in bfloat16. NaN payloads keep
+    Values go to float32 first, then to F16 or BF16, each step rounding to
+    nearest even; values beyond the range become infinities. BF16 NaNs keep
     the quiet bit instead of being rounded into infinity.
     """
-    u = values.astype("<f4").view("<u4")
+    with np.errstate(over="ignore"):
+        f32 = values.astype("<f4")
+        if dtype != "BF16":
+            return f32.astype(_WORDS[dtype], copy=False)
+    u = f32.view("<u4")
     nan = ((u & 0x7F800000) == 0x7F800000) & ((u & 0x007FFFFF) != 0)
     rounded = (u + ((u >> 16) & 1) + 0x7FFF) >> 16
-    out = np.where(nan, (u >> 16) | 0x0040, rounded)
-    return out.astype("<u2").tobytes()
+    return np.where(nan, (u >> 16) | 0x0040, rounded).astype("<u2")
 
 
-def snap_to_dtype(values: np.ndarray, dtype: str) -> np.ndarray:
-    """Round values to the nearest representable in `dtype`, return float64.
-
-    Values beyond the narrow type's range become infinities, per IEEE
-    narrowing; merge operations reject those downstream.
-    """
-    with np.errstate(over="ignore"):
-        if dtype == "F32":
-            return values.astype(np.float32).astype(np.float64)
-        if dtype == "F16":
-            return values.astype(np.float32).astype(np.float16).astype(np.float64)
-        if dtype == "BF16":
-            narrowed = _f64_to_bf16_bytes(np.ascontiguousarray(values, dtype=np.float64).ravel())
-            return _bf16_to_f64(narrowed).reshape(values.shape)
-    raise UnknownDtypeError(f"unsupported dtype {dtype!r}")
-
-
-def _encode_data(values: np.ndarray, dtype: str) -> bytes:
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if dtype == "F32":
-        return flat.astype("<f4").tobytes()
-    if dtype == "F16":
-        return flat.astype("<f2").tobytes()
-    return _f64_to_bf16_bytes(flat)
-
-
-def _decode_data(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    if dtype == "F32":
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    elif dtype == "F16":
-        arr = np.frombuffer(raw, dtype="<f2").astype(np.float64)
-    else:
-        arr = _bf16_to_f64(raw)
-    return arr.reshape(shape)
+def _widen(words: np.ndarray) -> np.ndarray:
+    """Storage words back to float64 (exact)."""
+    if words.dtype == _WORDS["BF16"]:
+        words = (words.astype("<u4") << 16).view("<f4")
+    return words.astype(np.float64)
 
 
 def _validate_shape(name: str, shape: tuple[int, ...]) -> None:
@@ -153,7 +125,7 @@ class Checkpoint:
             dtype = dtypes if isinstance(dtypes, str) else dtypes.get(name, "F32")
             if dtype not in DTYPES:
                 raise UnknownDtypeError(f"tensor {name!r} has unsupported dtype {dtype!r}")
-            self.tensors[name] = snap_to_dtype(arr, dtype)
+            self.tensors[name] = _widen(_narrow(arr, dtype))  # snap to the stored dtype
             self.dtypes[name] = dtype
         if metadata is not None:
             bad = [k for k, v in metadata.items() if not isinstance(k, str) or not isinstance(v, str)]
@@ -213,7 +185,7 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         arr = ckpt.tensors[name]
         if arr.size == 0:
             raise InvalidTensorError(f"tensor {name!r} has zero elements")
-        data = _encode_data(arr, ckpt.dtypes[name])
+        data = _narrow(arr, ckpt.dtypes[name]).tobytes()
         header[name] = {
             "dtype": ckpt.dtypes[name],
             "shape": [int(d) for d in arr.shape],
@@ -271,7 +243,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     ):
         raise HeaderParseError(f"{path}: __metadata__ must map strings to strings")
 
-    data = raw[8 + header_len :]
+    start = 8 + header_len
+    data_len = len(raw) - start
     tensors: dict[str, np.ndarray] = {}
     dtypes: dict[str, str] = {}
     spans: list[tuple[int, int, str]] = []
@@ -285,17 +258,18 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         shape = _int_list(path, name, "shape", entry["shape"])
         _validate_shape(name, shape)
         begin, end = _int_list(path, name, "data_offsets", entry["data_offsets"], 2)
-        expected = math.prod(shape) * _DTYPE_ITEMSIZE[dtype]
-        if begin < 0 or end > len(data) or begin > end:
+        word, count = _WORDS[dtype], math.prod(shape)
+        expected = count * word.itemsize
+        if begin < 0 or end > data_len or begin > end:
             raise DataOffsetError(
-                f"{path}: tensor {name!r} offsets [{begin}, {end}] outside data region of {len(data)} bytes"
+                f"{path}: tensor {name!r} offsets [{begin}, {end}] outside data region of {data_len} bytes"
             )
         if end - begin != expected:
             raise DataOffsetError(
                 f"{path}: tensor {name!r} spans {end - begin} bytes, expected {expected}"
             )
         spans.append((begin, end, name))
-        tensors[name] = _decode_data(data[begin:end], dtype, shape)
+        tensors[name] = _widen(np.frombuffer(raw, word, count, start + begin)).reshape(shape)
         dtypes[name] = dtype
 
     spans.sort()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .importance import (
     build_plan_uniform,
     importance_deltas,
 )
-from .merge_methods import _model_ids, merge, resolve_plans
+from .merge_methods import derive_model_ids, merge, resolve_plans
 from .pruning import effective_mean_density
 from .roles import BLOCK_KINDS, detect_naming_scheme, role_classifier
 from .runtime import ArchConfig, CalibrationSet, eval_loss, profile_model
@@ -47,8 +46,8 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 def _cmd_capture(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
     ckpt = load_checkpoint(args.model)
-    calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len)
-    model_id = args.model_id or Path(args.model).stem
+    calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
+    model_id = args.model_id or derive_model_ids([args.model])[0]
     profile = profile_model(ckpt, arch, calib, convention=args.convention, model_id=model_id)
     profile.save(args.out)
     print(f"profiled {model_id!r} on {len(calib)} samples ({args.convention})")
@@ -125,7 +124,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             seed=args.seed,
             naming_scheme=args.scheme,
         )
-    model_ids = _model_ids(recipe.model_paths)
+    model_ids = derive_model_ids(recipe.model_paths)
     plans = resolve_plans(recipe, model_ids)
     merged = merge(recipe, plans)
     save_checkpoint(merged, args.out)
@@ -164,7 +163,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
     ckpt = load_checkpoint(args.ckpt)
-    calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len)
+    calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
     loss = eval_loss(ckpt, arch, calib)
     print(f"mean cross-entropy: {loss:.6f}  ({len(calib)} samples)")
     return 0

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .checkpoint import _write_atomic
 from .errors import PlanError, ProfileMismatchError, load_document
 from .roles import BLOCK_KINDS, TensorRole
 
@@ -39,10 +40,11 @@ PLAN_MODES = ("lewis-literal", "lewis-minmax", "uniform", "topk", "layer-type")
 NORM_CONVENTIONS = ("mean-token-l2", "frobenius")
 
 
-def _check_density(value: float, what: str) -> float:
+def _check_density(value: float, what: str = "density", error: type[Exception] = ValueError) -> float:
+    """`value` as a float if it is a keep-density in (0, 1], else raise `error` naming `what`."""
     value = float(value)
     if not (0.0 < value <= 1.0) or math.isnan(value):
-        raise PlanError(f"{what} must lie in (0, 1], got {value}")
+        raise error(f"{what} must lie in (0, 1], got {value}")
     return value
 
 
@@ -98,7 +100,7 @@ class ActivationProfile:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_json(self.to_dict()))
+        _write_atomic(path, [canonical_json(self.to_dict()).encode()])
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivationProfile":
@@ -137,15 +139,15 @@ class SparsityPlan:
         if self.mode not in PLAN_MODES:
             raise PlanError(f"unknown plan mode {self.mode!r}; known: {list(PLAN_MODES)}")
         self.densities = {
-            int(k): _check_density(v, f"density for block {k}") for k, v in self.densities.items()
+            int(k): _check_density(v, f"density for block {k}", PlanError) for k, v in self.densities.items()
         }
         if self.default_density is not None:
-            self.default_density = _check_density(self.default_density, "default_density")
+            self.default_density = _check_density(self.default_density, "default_density", PlanError)
         if self.role_overrides is not None:
             for kind, value in self.role_overrides.items():
                 if kind not in BLOCK_KINDS:
                     raise PlanError(f"role override for non-block kind {kind!r}")
-                _check_density(value, f"density for role {kind}")
+                _check_density(value, f"density for role {kind}", PlanError)
 
     def density_for(self, role: TensorRole, name: str = "") -> float:
         """Keep-density for a tensor with the given role.
@@ -190,7 +192,7 @@ class SparsityPlan:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_json(self.to_dict()))
+        _write_atomic(path, [canonical_json(self.to_dict()).encode()])
 
     @classmethod
     def load(cls, path: str | Path) -> "SparsityPlan":
@@ -300,8 +302,8 @@ def build_plan_topk(
         raise PlanError("importance scores are empty")
     if not (0.0 < k_percent <= 100.0):
         raise PlanError(f"k_percent must lie in (0, 100], got {k_percent}")
-    _check_density(hi, "hi density")
-    _check_density(lo, "lo density")
+    _check_density(hi, "hi density", PlanError)
+    _check_density(lo, "lo density", PlanError)
     layers = sorted(scores.raw)
     count = math.ceil(k_percent / 100.0 * len(layers))
     ranked = sorted(layers, key=lambda l: (-scores.raw[l], l))
@@ -324,8 +326,8 @@ def build_plan_layer_type(
     """Keep one role kind (Q/K/V/O/MLP) at `hi`; every other block tensor at `lo`."""
     if role_kind not in BLOCK_KINDS:
         raise PlanError(f"role must be one of {sorted(BLOCK_KINDS)}, got {role_kind!r}")
-    _check_density(hi, "hi density")
-    _check_density(lo, "lo density")
+    _check_density(hi, "hi density", PlanError)
+    _check_density(lo, "lo density", PlanError)
     overrides = {kind: (hi if kind == role_kind else lo) for kind in sorted(BLOCK_KINDS)}
     return SparsityPlan(
         model_id=model_id or f"only-{role_kind.lower()}",
@@ -342,5 +344,5 @@ def build_plan_uniform(density: float, model_id: str = "uniform") -> SparsityPla
         model_id=model_id,
         mode="uniform",
         densities={},
-        default_density=_check_density(density, "density"),
+        default_density=_check_density(density, "density", PlanError),
     )

@@ -66,7 +66,8 @@ def ties_combine(stack: np.ndarray) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def _model_ids(paths: Sequence[str]) -> list[str]:
+def derive_model_ids(paths: Sequence[str]) -> list[str]:
+    """One id per checkpoint path: its file stem, with `#index` appended to a repeated stem."""
     ids = []
     for p, path in enumerate(paths):
         stem = Path(path).stem or f"model-{p}"
@@ -90,7 +91,7 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     and per-model labels.
     """
     base = load_checkpoint(recipe.base_path)
-    model_ids = _model_ids(recipe.model_paths)
+    model_ids = derive_model_ids(recipe.model_paths)
     if plans is None:
         plans = resolve_plans(recipe, model_ids)
     if len(plans) != len(recipe.model_paths):

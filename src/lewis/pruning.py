@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .importance import SparsityPlan
+from .importance import SparsityPlan, _check_density
 from .roles import TensorRole
 from .task_vectors import TaskVector
 
@@ -44,13 +44,6 @@ def mix_seed(seed: int, label: str) -> int:
 def _stream(seed: int, name: str) -> np.random.Generator:
     key = ((int(seed) & _MASK64) << 64) | name_hash64(name)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _check_density(density: float) -> float:
-    density = float(density)
-    if not (0.0 < density <= 1.0) or math.isnan(density):
-        raise ValueError(f"density must lie in (0, 1], got {density}")
-    return density
 
 
 def trim_count(density: float, n: int) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, _write_atomic
 from .errors import ArchError, CalibrationError, load_document
 from .importance import NORM_CONVENTIONS, ActivationProfile
 
@@ -56,7 +56,7 @@ class ArchConfig:
         return load_document(path, lambda doc: cls(**doc), ArchError)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=1, sort_keys=True))
+        _write_atomic(path, [json.dumps(asdict(self), indent=1, sort_keys=True).encode()])
 
 
 def tensor_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
@@ -127,10 +127,13 @@ class CalibrationSet:
         return len(self.samples)
 
     @classmethod
-    def from_file(cls, path: str | Path, max_seq_len: int | None = None) -> "CalibrationSet":
+    def from_file(
+        cls, path: str | Path, max_seq_len: int | None = None, vocab_size: int | None = None
+    ) -> "CalibrationSet":
         """Line-delimited records, each {"text": str} or {"tokens": [ints]}.
 
-        A malformed record, or a file without any, raises CalibrationError
+        A malformed record, a token id outside [0, vocab_size) when a vocab
+        size is given, or a file without any record raises CalibrationError
         naming the path, the 1-based line number and the field.
         """
         try:
@@ -155,21 +158,24 @@ class CalibrationSet:
                     isinstance(t, int) and not isinstance(t, bool) for t in tokens
                 ):
                     raise CalibrationError(f"{where}: field 'tokens' must be a non-empty list of ints")
-                samples.append(tokens[:max_seq_len])
+                sample = tokens[:max_seq_len]
             elif "text" in record:
                 text = record["text"]
                 if not isinstance(text, str) or not text:
                     raise CalibrationError(f"{where}: field 'text' must be a non-empty string")
-                samples.append(tokenize(text, max_seq_len))
+                sample = tokenize(text, max_seq_len)
             else:
                 raise CalibrationError(f"{where}: record has neither 'text' nor 'tokens'")
+            if vocab_size is not None and not all(0 <= t < vocab_size for t in sample):
+                raise CalibrationError(f"{where}: token ids must lie in [0, {vocab_size})")
+            samples.append(sample)
         if not samples:
             raise CalibrationError(f"{path}: no calibration records")
         return cls(samples=samples, source=str(path))
 
     def save(self, path: str | Path) -> None:
         lines = [json.dumps({"tokens": sample}) for sample in self.samples]
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 # --------------------------------------------------------------------------- #
@@ -247,18 +253,14 @@ def forward_capture(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> li
     h = embed[toks]
     captures: list[np.ndarray] = []
     for i in range(arch.num_blocks):
-        h = _block_forward(ckpt, arch, i, h)
-        captures.append(h.copy())
+        h = _block_forward(ckpt, arch, i, h)  # a new array: blocks never write into their input
+        captures.append(h)
     return captures
 
 
 def forward_logits(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> np.ndarray:
     """Next-token logits at every position, shape (tokens, vocab)."""
-    toks = _check_tokens(arch, tokens)
-    embed = _get_weight(ckpt, "embed.weight", (arch.vocab_size, arch.hidden_dim))
-    h = embed[toks]
-    for i in range(arch.num_blocks):
-        h = _block_forward(ckpt, arch, i, h)
+    h = forward_capture(ckpt, arch, tokens)[-1]
     h = _rms_norm(h, _get_weight(ckpt, "final_norm.weight", (arch.hidden_dim,)))
     return h @ _get_weight(ckpt, "head.weight", (arch.vocab_size, arch.hidden_dim)).T
 

@@ -16,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, keyset_diff
+from .checkpoint import Checkpoint, _write_atomic, keyset_diff
 from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError, load_document
+from .importance import _check_density
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
 
@@ -144,8 +145,8 @@ class MergeRecipe:
             raise RecipeError(
                 f"{len(self.model_paths)} models but {len(self.plan_refs)} plan refs"
             )
-        if isinstance(self.plan_refs, (int, float)) and not (0.0 < float(self.plan_refs) <= 1.0):
-            raise RecipeError(f"uniform plan density must lie in (0, 1], got {self.plan_refs}")
+        if isinstance(self.plan_refs, (int, float)):
+            _check_density(self.plan_refs, "uniform plan density", RecipeError)
         self.seed = int(self.seed)
 
     @classmethod
@@ -179,4 +180,4 @@ class MergeRecipe:
         }
         if self.naming_scheme is not None:
             doc["naming_scheme"] = self.naming_scheme
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+        _write_atomic(path, [json.dumps(doc, indent=1, sort_keys=True).encode()])

@@ -1,5 +1,6 @@
 """Container IO: round trips, canonical bytes, format errors, role classes."""
 
+import io
 import json
 import re
 import struct
@@ -176,6 +177,33 @@ class TestAtomicWrite:
         write_checkpoint(Checkpoint({"w": np.arange(4.0)}), path)
         write_checkpoint(Checkpoint({"v": np.ones(3)}), path)
         assert read_checkpoint(path).names() == ["v"]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (lewis.ArchConfig(), lewis.ArchConfig(hidden_dim=16)),
+            (lewis.ActivationProfile("a", {0: 1.0}, 1), lewis.ActivationProfile("b", {0: 2.0}, 1)),
+            (lewis.build_plan_uniform(0.5), lewis.build_plan_uniform(0.25)),
+            (lewis.MergeRecipe("base", ["m"]), lewis.MergeRecipe("base", ["m", "n"])),
+            (lewis.CalibrationSet([[1, 2]]), lewis.CalibrationSet([[3, 4, 5]])),
+        ],
+        ids=["arch", "profile", "plan", "recipe", "calibration"],
+    )
+    def test_failed_document_save_keeps_old_file(self, tmp_path, monkeypatch, old, new):
+        path = tmp_path / "doc.json"
+        old.save(path)
+        before = path.read_bytes()
+
+        class HalfWriter(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(lewis.checkpoint, "open", lambda file, mode: HalfWriter(file, mode), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            new.save(path)
+        assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 

@@ -287,6 +287,7 @@ class TestMalformedDocuments:
             (b'{"tokens": [1, 2]}\n{"tokens": 5}\n', "line 2: field 'tokens'"),
             (b'{"tokens": [1, true]}\n', "line 1: field 'tokens'"),
             (b'{"tokens": [1, 2.5]}\n', "line 1: field 'tokens'"),
+            (b'{"tokens": [1, 2]}\n{"tokens": [300]}\n', "line 2: token ids must lie in [0, 256)"),
             (b'\n{"text": 7}\n', "line 2: field 'text'"),
             (b'{"text": "ok"}\nnot json\n', "line 2: not valid JSON"),
             (b'[1, 2, 3]\n', "line 1: record must be an object"),
@@ -294,7 +295,7 @@ class TestMalformedDocuments:
             (b'\n\n', "no calibration records"),
             (b'{"text": "\xff\xfe"}\n', "not UTF-8 text"),
         ],
-        ids=["tokens-int", "tokens-bool", "tokens-float", "text-int", "not-json", "not-object",
+        ids=["tokens-int", "tokens-bool", "tokens-float", "tokens-oov", "text-int", "not-json", "not-object",
              "no-field", "empty-file", "not-utf8"],
     )
     def test_malformed_calibration(self, workspace, capsys, content, where):
@@ -315,7 +316,7 @@ class TestMalformedDocuments:
                     "--arch", workspace / "arch.json", "--calib", path, "--out", workspace / "p.json"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: token ids must lie in [0, 256)")
+        assert err.startswith(f"error: {path}: line 1: token ids must lie in [0, 256)")
         assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 """Toy decoder runtime: tokenization, forward pass, profiles, loss."""
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from lewis import (
     tokenize,
     zero_checkpoint,
 )
-from lewis.errors import ArchError
+from lewis.errors import ArchError, CalibrationError
 from lewis.runtime import detokenize, tensor_shapes
 
 
@@ -128,6 +129,13 @@ class TestForwardCapture:
         broken = Checkpoint(tensors)
         with pytest.raises(ArchError, match="blocks.1.attn.wq.weight"):
             forward_capture(broken, small_arch, [1, 2])
+
+    def test_capture_needs_no_output_layers(self, small_arch):
+        ckpt = random_checkpoint(small_arch, seed=3)
+        full = forward_capture(ckpt, small_arch, [1, 2])
+        body = Checkpoint({n: ckpt[n] for n in ckpt.names() if n not in ("final_norm.weight", "head.weight")})
+        for got, expected in zip(forward_capture(body, small_arch, [1, 2]), full, strict=True):
+            np.testing.assert_array_equal(got, expected)
 
     def test_wrong_shape_rejected(self, small_arch):
         ckpt = zero_checkpoint(small_arch)
@@ -264,6 +272,14 @@ class TestCalibrationFiles:
         path.write_text('{"tokens": [1, 2, 3, 4, 5]}\n')
         calib = CalibrationSet.from_file(path, max_seq_len=2)
         assert calib.samples == [[1, 2]]
+
+    @pytest.mark.parametrize("record", [{"text": "ok~"}, {"tokens": [5, 126]}, {"tokens": [-1]}])
+    def test_token_outside_vocab_names_line(self, tmp_path, record):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"text": "ok"}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CalibrationError) as info:
+            CalibrationSet.from_file(path, vocab_size=120)
+        assert str(info.value) == f"{path}: line 2: token ids must lie in [0, 120)"
 
     def test_save_round_trip(self, tmp_path):
         calib = CalibrationSet(samples=[[1, 2], [3]], source="unit")
