@@ -13,16 +13,24 @@ primary container is the safetensors layout:
 The writer is canonical: tensor names are serialized in lexicographic
 order, data offsets are contiguous and gapless, and the header is padded
 with trailing spaces to 8-byte alignment, so equal checkpoints always
-produce byte-identical files. Both writers fill a temp file beside the
-destination and rename it into place, so a failed write never leaves a
-truncated file behind.
+produce byte-identical files. The writer builds the header from each
+tensor's shape and itemsize, then streams one tensor's narrowed words at
+a time into a temp file beside the destination and renames it into
+place, so a failed write never leaves a truncated file behind. The text
+writer renames into place the same way.
+
+Reading is header first: a CheckpointFile reads and checks the whole
+header (dtypes, shapes, offsets inside the file, no overlaps) and reads a
+tensor's words only when that tensor is indexed. read_checkpoint opens a
+file that way and then reads every tensor.
 
 In memory every tensor is widened to float64 for arithmetic; the dtype it
 was stored with (F32, F16 or BF16) is kept per tensor so writing narrows
 back losslessly. Values are snapped to their stored dtype on construction,
-which is what makes round trips bit-exact. One rounding rule serves both
-the snap and the writer: float64 rounds to float32, then to F16 or BF16,
-each step to nearest even, and BF16 NaNs keep the quiet bit.
+which is what makes round trips bit-exact; tensors widened from stored
+words are already exact and are not snapped again. One rounding rule
+serves both the snap and the writer: float64 rounds to float32, then to
+F16 or BF16, each step to nearest even, and BF16 NaNs keep the quiet bit.
 
 A second, human-readable JSON format exists for tiny test fixtures; both
 formats are reachable through load_checkpoint/save_checkpoint, dispatched
@@ -31,6 +39,7 @@ on the ".json" extension.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -62,10 +71,11 @@ def _narrow(values: np.ndarray, dtype: str) -> np.ndarray:
 
     Values go to float32 first, then to F16 or BF16, each step rounding to
     nearest even; values beyond the range become infinities. BF16 NaNs keep
-    the quiet bit instead of being rounded into infinity.
+    the quiet bit instead of being rounded into infinity. The words are in C
+    order, so the writer can stream them to a file as they are.
     """
     with np.errstate(over="ignore"):
-        f32 = values.astype("<f4")
+        f32 = values.astype("<f4", order="C")
         if dtype != "BF16":
             return f32.astype(_WORDS[dtype], copy=False)
     u = f32.view("<u4")
@@ -75,10 +85,11 @@ def _narrow(values: np.ndarray, dtype: str) -> np.ndarray:
 
 
 def _widen(words: np.ndarray) -> np.ndarray:
-    """Storage words back to float64 (exact)."""
+    """Storage words back to float64 (exact; a signalling NaN comes back quiet)."""
     if words.dtype == _WORDS["BF16"]:
         words = (words.astype("<u4") << 16).view("<f4")
-    return words.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        return words.astype(np.float64)
 
 
 def _validate_shape(name: str, shape: tuple[int, ...]) -> None:
@@ -169,6 +180,18 @@ class Checkpoint:
         return f"Checkpoint({len(self.tensors)} tensors, {self.num_elements()} elements)"
 
 
+def exact_checkpoint(
+    tensors: Mapping[str, np.ndarray],
+    dtypes: Mapping[str, str],
+    metadata: Mapping[str, str] | None = None,
+) -> Checkpoint:
+    """A Checkpoint of float64 arrays already exact in their `dtypes`, kept without a re-snap."""
+    ckpt = Checkpoint({}, metadata=metadata)
+    ckpt.tensors = {name: tensors[name] for name in sorted(tensors)}
+    ckpt.dtypes = {name: dtypes[name] for name in ckpt.tensors}
+    return ckpt
+
+
 # --------------------------------------------------------------------------- #
 # safetensors container
 # --------------------------------------------------------------------------- #
@@ -179,29 +202,28 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     if ckpt.metadata is not None:
         header["__metadata__"] = dict(sorted(ckpt.metadata.items()))
 
-    blobs: list[bytes] = []
     offset = 0
     for name in ckpt.names():
         arr = ckpt.tensors[name]
         if arr.size == 0:
             raise InvalidTensorError(f"tensor {name!r} has zero elements")
-        data = _narrow(arr, ckpt.dtypes[name]).tobytes()
+        end = offset + arr.size * _WORDS[ckpt.dtypes[name]].itemsize
         header[name] = {
             "dtype": ckpt.dtypes[name],
             "shape": [int(d) for d in arr.shape],
-            "data_offsets": [offset, offset + len(data)],
+            "data_offsets": [offset, end],
         }
-        blobs.append(data)
-        offset += len(data)
+        offset = end
 
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     pad = (8 - len(header_bytes) % 8) % 8
     header_bytes += b" " * pad
 
-    _write_atomic(path, [struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
+    words = (_narrow(ckpt.tensors[name], ckpt.dtypes[name]) for name in ckpt.names())
+    _write_atomic(path, itertools.chain([struct.pack("<Q", len(header_bytes)), header_bytes], words))
 
 
-def _write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+def _write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write `chunks` to a temp file beside `path`, then rename it onto `path`.
 
     On any failure the temp file is removed and an existing file at `path`
@@ -219,67 +241,99 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+class CheckpointFile:
+    """A safetensors checkpoint opened by its header alone.
+
+    Opening reads and checks the whole header; indexing reads and widens one
+    tensor. It offers a Checkpoint's read side: names(), shapes(), dtypes,
+    metadata and [name].
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        with open(path, "rb") as fh:
+            prefix = fh.read(8)
+            if len(prefix) < 8:
+                raise HeaderLengthError(f"{path}: file too short for a header-length prefix")
+            (header_len,) = struct.unpack("<Q", prefix)
+            size = os.fstat(fh.fileno()).st_size
+            if 8 + header_len > size:
+                raise HeaderLengthError(
+                    f"{path}: header length {header_len} exceeds file size {size}"
+                )
+            raw = fh.read(header_len)
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise HeaderParseError(f"{path}: header is not valid structured text: {exc}") from exc
+        if not isinstance(header, dict):
+            raise HeaderParseError(f"{path}: header must be an object, got {type(header).__name__}")
+
+        metadata = header.pop("__metadata__", None)
+        if metadata is not None and (
+            not isinstance(metadata, dict)
+            or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())
+        ):
+            raise HeaderParseError(f"{path}: __metadata__ must map strings to strings")
+        self.metadata: dict[str, str] | None = metadata
+
+        start = 8 + header_len
+        data_len = size - start
+        self.dtypes: dict[str, str] = {}
+        self._layout: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, file offset)
+        spans: list[tuple[int, int, str]] = []
+        for name in sorted(header):
+            entry = header[name]
+            if not isinstance(entry, dict) or not {"dtype", "shape", "data_offsets"} <= set(entry):
+                raise HeaderParseError(f"{path}: malformed table entry for tensor {name!r}")
+            dtype = entry["dtype"]
+            if dtype not in DTYPES:
+                raise UnknownDtypeError(f"{path}: tensor {name!r} has unknown dtype {dtype!r}")
+            shape = _int_list(path, name, "shape", entry["shape"])
+            _validate_shape(name, shape)
+            begin, end = _int_list(path, name, "data_offsets", entry["data_offsets"], 2)
+            expected = math.prod(shape) * _WORDS[dtype].itemsize
+            if begin < 0 or end > data_len or begin > end:
+                raise DataOffsetError(
+                    f"{path}: tensor {name!r} offsets [{begin}, {end}] outside data region of {data_len} bytes"
+                )
+            if end - begin != expected:
+                raise DataOffsetError(
+                    f"{path}: tensor {name!r} spans {end - begin} bytes, expected {expected}"
+                )
+            spans.append((begin, end, name))
+            self.dtypes[name] = dtype
+            self._layout[name] = (shape, start + begin)
+
+        spans.sort()
+        for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
+            if b1 < e0:
+                raise DataOffsetError(
+                    f"{path}: tensors {n0!r} and {n1!r} have overlapping data offsets"
+                )
+
+    def names(self) -> list[str]:
+        return list(self.dtypes)
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: shape for name, (shape, _) in self._layout.items()}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        shape, offset = self._layout[name]
+        word, count = _WORDS[self.dtypes[name]], math.prod(shape)
+        words = np.fromfile(self.path, word, count, offset=offset)
+        if words.size != count:  # the file shrank after its header was read
+            raise DataOffsetError(
+                f"{self.path}: tensor {name!r} needs {count * word.itemsize} bytes "
+                f"but the file ends after {words.size * word.itemsize}"
+            )
+        return _widen(words).reshape(shape)
+
+
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Read a safetensors-container checkpoint from `path`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise HeaderLengthError(f"{path}: file too short for a header-length prefix")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise HeaderLengthError(
-            f"{path}: header length {header_len} exceeds file size {len(raw)}"
-        )
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderParseError(f"{path}: header is not valid structured text: {exc}") from exc
-    if not isinstance(header, dict):
-        raise HeaderParseError(f"{path}: header must be an object, got {type(header).__name__}")
-
-    metadata = header.pop("__metadata__", None)
-    if metadata is not None and (
-        not isinstance(metadata, dict)
-        or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())
-    ):
-        raise HeaderParseError(f"{path}: __metadata__ must map strings to strings")
-
-    start = 8 + header_len
-    data_len = len(raw) - start
-    tensors: dict[str, np.ndarray] = {}
-    dtypes: dict[str, str] = {}
-    spans: list[tuple[int, int, str]] = []
-    for name in sorted(header):
-        entry = header[name]
-        if not isinstance(entry, dict) or not {"dtype", "shape", "data_offsets"} <= set(entry):
-            raise HeaderParseError(f"{path}: malformed table entry for tensor {name!r}")
-        dtype = entry["dtype"]
-        if dtype not in DTYPES:
-            raise UnknownDtypeError(f"{path}: tensor {name!r} has unknown dtype {dtype!r}")
-        shape = _int_list(path, name, "shape", entry["shape"])
-        _validate_shape(name, shape)
-        begin, end = _int_list(path, name, "data_offsets", entry["data_offsets"], 2)
-        word, count = _WORDS[dtype], math.prod(shape)
-        expected = count * word.itemsize
-        if begin < 0 or end > data_len or begin > end:
-            raise DataOffsetError(
-                f"{path}: tensor {name!r} offsets [{begin}, {end}] outside data region of {data_len} bytes"
-            )
-        if end - begin != expected:
-            raise DataOffsetError(
-                f"{path}: tensor {name!r} spans {end - begin} bytes, expected {expected}"
-            )
-        spans.append((begin, end, name))
-        tensors[name] = _widen(np.frombuffer(raw, word, count, start + begin)).reshape(shape)
-        dtypes[name] = dtype
-
-    spans.sort()
-    for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
-        if b1 < e0:
-            raise DataOffsetError(
-                f"{path}: tensors {n0!r} and {n1!r} have overlapping data offsets"
-            )
-
-    return Checkpoint(tensors, dtypes, metadata)
+    file = CheckpointFile(path)
+    return exact_checkpoint({name: file[name] for name in file.names()}, file.dtypes, file.metadata)
 
 
 # --------------------------------------------------------------------------- #
@@ -321,6 +375,13 @@ def read_text_checkpoint(path: str | Path) -> Checkpoint:
         return Checkpoint(tensors, dtypes, doc.get("metadata"))
 
     return load_document(path, build, HeaderParseError)
+
+
+def open_checkpoint(path: str | Path) -> Checkpoint | CheckpointFile:
+    """Open a checkpoint for tensor-by-tensor reads: safetensors by its header, a ".json" fixture whole."""
+    if str(path).endswith(".json"):
+        return read_text_checkpoint(path)
+    return CheckpointFile(path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -1,15 +1,18 @@
 """Merge-method dispatch: task arithmetic, TIES, and the DARE variants.
 
-All four methods run one flow. The base is loaded once; then each model in
-turn is loaded, turned into a task vector and pruned at its plan's
-densities (magnitude trim for task-arithmetic and ties, random drop and
-rescale for the DARE methods), and only the pruned vector is kept. One
-per-tensor function then combines the pruned vectors, one tensor at a
-time: task arithmetic and dare-linear add the alpha-scaled deltas to the
-base in model order; ties and dare-ties first elect a per-parameter sign by
-total magnitude across models and average only the deltas that agree with
-it. Alphas are applied as a global per-model scale before sign election, so
-the single-model full-density merge is exactly the fine-tuned checkpoint.
+All four methods run one flow, one tensor at a time. The base and every
+model are opened by their headers, and their names and shapes are checked
+against each other before any tensor data is read. Then, for each tensor
+name, that tensor of each input is read, turned into a task vector and
+pruned at its plan's density (magnitude trim for task-arithmetic and ties,
+random drop and rescale for the DARE methods), the pruned deltas are
+combined and the result is snapped to the base's dtype and checked finite.
+Only the merged output is held whole. Task arithmetic and dare-linear add
+the alpha-scaled deltas to the base in model order; ties and dare-ties
+first elect a per-parameter sign by total magnitude across models and
+average only the deltas that agree with it. Alphas are applied as a global
+per-model scale before sign election, so the single-model full-density
+merge is exactly the fine-tuned checkpoint.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint
+from .checkpoint import Checkpoint, exact_checkpoint, open_checkpoint
 from .errors import RecipeError
 from .importance import SparsityPlan, build_plan_uniform
 from .pruning import apply_plan, mix_seed
 from .roles import detect_naming_scheme, role_classifier
 from .task_vectors import (
     MergeRecipe,
+    check_task_vector_inputs,
     compute_task_vector,
     finalize_checkpoint,
     linear_combine,
@@ -90,24 +94,20 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     counter-based drop noise of the DARE methods, keyed by the recipe seed
     and per-model labels.
     """
-    base = load_checkpoint(recipe.base_path)
+    base = open_checkpoint(recipe.base_path)
     model_ids = derive_model_ids(recipe.model_paths)
     if plans is None:
         plans = resolve_plans(recipe, model_ids)
     if len(plans) != len(recipe.model_paths):
         raise RecipeError(f"{len(recipe.model_paths)} models but {len(plans)} plans")
+    models = [open_checkpoint(path) for path in recipe.model_paths]
+    for model, model_id in zip(models, model_ids):
+        check_task_vector_inputs(base, model, model_id)
 
     scheme = recipe.naming_scheme or detect_naming_scheme(base.names())
     roles = role_classifier(scheme)
-
     g_mode = "magnitude" if recipe.method in ("task-arithmetic", "ties") else "random"
-    pruned = []
-    for p, (path, model_id, plan) in enumerate(zip(recipe.model_paths, model_ids, plans)):
-        # Whole-model prune on the main thread: perfbench's traced run wraps this apply_plan.
-        pruned.append(apply_plan(
-            compute_task_vector(base, load_checkpoint(path), model_id),
-            plan, g_mode, roles, seed=mix_seed(recipe.seed, f"model-{p}"),
-        ))
+    seeds = [mix_seed(recipe.seed, f"model-{p}") for p in range(len(models))]
 
     metadata = {
         "merge.method": recipe.method,
@@ -123,11 +123,25 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
 
     elect = recipe.method in ("ties", "dare-ties")
 
-    def combine(name: str) -> np.ndarray:
-        deltas = [tv[name] for tv in pruned]
-        if not elect:
-            return linear_combine(base[name], deltas, recipe.alphas)
-        stack = np.stack([float(a) * d for d, a in zip(deltas, recipe.alphas)])
-        return base[name] + ties_combine(stack)
+    def shard(ckpt, name: str) -> Checkpoint:
+        return exact_checkpoint({name: ckpt[name]}, {name: ckpt.dtypes[name]})
 
-    return finalize_checkpoint({name: combine(name) for name in base.names()}, base, metadata)
+    def combine(name: str) -> np.ndarray:
+        # The whole-model functions, fed one-tensor checkpoints, under the names
+        # perfbench's traced run wraps.
+        base_t = shard(base, name)
+        deltas = [
+            apply_plan(
+                compute_task_vector(base_t, shard(model, name), model_id),
+                plan, g_mode, roles, seed=seed,
+            )[name]
+            for model, model_id, plan, seed in zip(models, model_ids, plans, seeds)
+        ]
+        if not elect:
+            merged = linear_combine(base_t[name], deltas, recipe.alphas)
+        else:
+            stack = np.stack([float(a) * d for d, a in zip(deltas, recipe.alphas)])
+            merged = base_t[name] + ties_combine(stack)
+        return finalize_checkpoint({name: merged}, base, None)[name]
+
+    return exact_checkpoint({name: combine(name) for name in base.names()}, base.dtypes, metadata)

@@ -48,17 +48,27 @@ def _require_same_keys(left_names, right_names, what: str) -> None:
         )
 
 
+def check_task_vector_inputs(base, finetuned, model_id: str) -> None:
+    """Raise unless `finetuned` has `base`'s tensor names and shapes.
+
+    Uses only names() and shapes(), so on opened checkpoint files it reads
+    no tensor data.
+    """
+    what = f"task vector for {model_id!r}"
+    _require_same_keys(base.names(), finetuned.names(), what)
+    fine_shapes = finetuned.shapes()
+    for name, shape in base.shapes().items():
+        if shape != fine_shapes[name]:
+            raise ShapeMismatchError(
+                f"{what}: tensor {name!r}: base shape {list(shape)} "
+                f"vs fine-tuned shape {list(fine_shapes[name])}"
+            )
+
+
 def compute_task_vector(base: Checkpoint, finetuned: Checkpoint, model_id: str) -> TaskVector:
     """delta[t] = finetuned[t] - base[t] for every tensor t."""
-    _require_same_keys(base.names(), finetuned.names(), f"task vector for {model_id!r}")
-    deltas: dict[str, np.ndarray] = {}
-    for name in base.names():
-        b, f = base[name], finetuned[name]
-        if b.shape != f.shape:
-            raise ShapeMismatchError(
-                f"tensor {name!r}: base shape {list(b.shape)} vs fine-tuned shape {list(f.shape)}"
-            )
-        deltas[name] = f - b
+    check_task_vector_inputs(base, finetuned, model_id)
+    deltas = {name: finetuned[name] - base[name] for name in base.names()}
     return TaskVector(deltas=deltas, source_model_id=model_id)
 
 
@@ -103,6 +113,8 @@ def finalize_checkpoint(
 
     Finiteness is checked after values are snapped to the base's stored
     dtypes, so overflow introduced by the narrowing itself is caught too.
+    `lewis.merge` calls it once per merged tensor, as each is combined;
+    `base` only lends its dtypes.
     """
     out = Checkpoint(tensors, dict(base.dtypes), metadata)
     for name, arr in out.tensors.items():

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from lewis import ArchConfig, Checkpoint, random_checkpoint
+from lewis.errors import KeysetMismatchError, ShapeMismatchError
 
 
 @pytest.fixture
@@ -34,3 +37,40 @@ def random_fixture_checkpoint(rng: np.random.Generator, max_tensors: int = 5) ->
         tensors[f"t{i}.weight"] = rng.standard_normal(shape)
         tags[f"t{i}.weight"] = dtypes[int(rng.integers(0, 3))]
     return Checkpoint(tensors, tags)
+
+
+def reverse_data_region(src, dst) -> None:
+    """Copy safetensors file `src` to `dst` with tensor data stored in reverse name order.
+
+    The header still lists names sorted; only the data offsets change, so
+    `dst` is a valid file that no canonical writer would produce.
+    """
+    raw = src.read_bytes()
+    header_len = int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8 : 8 + header_len])
+    data = raw[8 + header_len :]
+    names = sorted(n for n in header if n != "__metadata__")
+    chunks, offset = [], 0
+    for name in reversed(names):
+        begin, end = header[name]["data_offsets"]
+        chunks.append(data[begin:end])
+        header[name]["data_offsets"] = [offset, offset + end - begin]
+        offset += end - begin
+    body = json.dumps(header).encode()
+    dst.write_bytes(len(body).to_bytes(8, "little") + body + b"".join(chunks))
+
+
+def mismatched_model(base: Checkpoint, kind: str) -> tuple[Checkpoint, type, str]:
+    """A copy of a toy `base` that lacks a tensor ("missing"), adds one ("extra")
+    or changes one's shape ("shape"), with the error a merge must raise and the
+    tensor it must name.
+    """
+    tensors = dict(base.tensors)
+    if kind == "missing":
+        del tensors["head.weight"]
+        return Checkpoint(tensors), KeysetMismatchError, "head.weight"
+    if kind == "extra":
+        tensors["extra.weight"] = np.ones(3)
+        return Checkpoint(tensors), KeysetMismatchError, "extra.weight"
+    tensors["final_norm.weight"] = np.ones(base["final_norm.weight"].size + 1)
+    return Checkpoint(tensors), ShapeMismatchError, "final_norm.weight"

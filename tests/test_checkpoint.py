@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from lewis.errors import (
     UnknownDtypeError,
 )
 import lewis.checkpoint
-from conftest import random_fixture_checkpoint
+from conftest import random_fixture_checkpoint, reverse_data_region
 
 
 class TestRoundTrip:
@@ -85,6 +86,15 @@ class TestRoundTrip:
         write_checkpoint(ckpt, path)
         assert read_checkpoint(path).metadata == {"origin": "test", "z": "9"}
 
+    def test_data_region_in_reverse_order(self, tmp_path):
+        ckpt = random_fixture_checkpoint(np.random.default_rng(8), max_tensors=5)
+        ckpt.metadata = {"origin": "test"}
+        canonical, reversed_ = tmp_path / "c.safetensors", tmp_path / "r.safetensors"
+        write_checkpoint(ckpt, canonical)
+        reverse_data_region(canonical, reversed_)
+        assert reversed_.read_bytes() != canonical.read_bytes()
+        assert read_checkpoint(reversed_) == read_checkpoint(canonical) == ckpt
+
 
 class TestCanonicalWriter:
     def test_header_length_prefix(self, tmp_path):
@@ -118,6 +128,15 @@ class TestCanonicalWriter:
         write_checkpoint(c1, p1)
         write_checkpoint(c2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+    def test_memory_layout_irrelevant(self, tmp_path, dtype):
+        wide = np.random.default_rng(4).standard_normal((3, 10))
+        layouts = {"c": wide[:, ::2].copy(), "f": np.asfortranarray(wide[:, ::2]), "s": wide[:, ::2]}
+        for tag, arr in layouts.items():
+            write_checkpoint(Checkpoint({"w": arr}, dtype), tmp_path / f"{tag}.safetensors")
+        files = {(tmp_path / f"{tag}.safetensors").read_bytes() for tag in layouts}
+        assert len(files) == 1
 
     def test_offsets_contiguous_and_sorted(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -319,6 +338,28 @@ class TestFormatErrors:
             read_checkpoint(path)
         except CheckpointError:
             pass
+
+    def test_file_shrunk_after_open_names_tensor(self, tmp_path):
+        path = tmp_path / "s.safetensors"
+        write_checkpoint(Checkpoint({"a": np.ones(4), "b": np.ones(4)}), path)
+        opened = lewis.checkpoint.CheckpointFile(path)
+        path.write_bytes(path.read_bytes()[:-6])  # cuts into tensor "b"
+        np.testing.assert_array_equal(opened["a"], np.ones(4))
+        with pytest.raises(DataOffsetError, match=f"{re.escape(str(path))}: tensor 'b'"):
+            opened["b"]
+
+    @pytest.mark.parametrize(
+        "dtype, word, signalling",
+        [("F32", "<u4", 0x7F800001), ("F16", "<u2", 0x7C01), ("BF16", "<u2", 0x7F81)],
+    )
+    def test_signalling_nan_reads_quietly(self, tmp_path, dtype, word, signalling):
+        words = np.array([signalling, 0], dtype=word)
+        header = {"w": {"dtype": dtype, "shape": [2], "data_offsets": [0, words.nbytes]}}
+        path = self._raw_file(tmp_path, header, words.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = read_checkpoint(path)["w"]
+        assert np.isnan(values[0]) and values[1] == 0.0
 
     def test_zero_element_tensor_rejected(self):
         with pytest.raises(InvalidTensorError):

@@ -9,6 +9,7 @@ import pytest
 import lewis
 from lewis.cli import main
 from lewis.pruning import trim_count
+from conftest import mismatched_model
 
 
 @pytest.fixture
@@ -231,6 +232,35 @@ class TestMerge:
             "--out", workspace / "m.safetensors",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "extra", "shape"])
+    def test_mismatched_model_is_named_error(self, workspace, capsys, kind):
+        base = lewis.read_checkpoint(workspace / "base.safetensors")
+        model, _, tensor = mismatched_model(base, kind)
+        lewis.write_checkpoint(model, workspace / "odd.safetensors")
+        before = sorted(p.name for p in workspace.iterdir())
+        code = run([
+            "merge", "--base", workspace / "base.safetensors",
+            "--model", workspace / "fine.safetensors", "--model", workspace / "odd.safetensors",
+            "--out", workspace / "m.safetensors",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: task vector for 'odd'") and f"'{tensor}'" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in workspace.iterdir()) == before
+
+    def test_out_may_be_the_base(self, workspace):
+        args = [
+            "merge", "--base", workspace / "base.safetensors",
+            "--model", workspace / "fine.safetensors",
+            "--method", "dare-ties", "--density", "0.5", "--seed", "4", "--out",
+        ]
+        assert run([*args, workspace / "fresh.safetensors"]) == 0
+        assert run([*args, workspace / "base.safetensors"]) == 0
+        assert (workspace / "base.safetensors").read_bytes() == (
+            workspace / "fresh.safetensors"
+        ).read_bytes()
 
 
 def _capture_args(ws, doc):

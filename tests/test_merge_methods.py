@@ -1,9 +1,13 @@
 """Sign election, disjoint mean, and the four merge methods."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import lewis
+import lewis.checkpoint
 from lewis import (
     Checkpoint,
     MergeRecipe,
@@ -13,10 +17,12 @@ from lewis import (
     merge,
     ties_combine,
     write_checkpoint,
+    write_text_checkpoint,
 )
 from lewis.errors import RecipeError
 from lewis.pruning import mix_seed
 from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
+from conftest import mismatched_model, reverse_data_region
 
 
 def elect_oracle(values):
@@ -328,3 +334,77 @@ class TestMerge:
         assert (tmp_path / "merged.safetensors").read_bytes() == (
             tmp_path / "expected.safetensors"
         ).read_bytes()
+
+
+class TestStreamedMerge:
+    @pytest.mark.parametrize("kind", ["missing", "extra", "shape"])
+    def test_mismatched_model_named_before_any_tensor_read(
+        self, tmp_path, small_arch, monkeypatch, kind
+    ):
+        base = lewis.random_checkpoint(small_arch, seed=41)
+        model, error, tensor = mismatched_model(base, kind)
+        for name, ckpt in (("base", base), ("good", base), ("fine", model)):
+            write_checkpoint(ckpt, tmp_path / f"{name}.safetensors")
+        recipe = MergeRecipe(
+            base_path=str(tmp_path / "base.safetensors"),
+            model_paths=[str(tmp_path / "good.safetensors"), str(tmp_path / "fine.safetensors")],
+        )
+
+        def no_read(self, name):
+            raise AssertionError(f"tensor {name!r} read before the inputs were checked")
+
+        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "__getitem__", no_read)
+        with pytest.raises(error, match=rf"'fine'.*'{re.escape(tensor)}'"):
+            merge(recipe)
+
+    @pytest.mark.parametrize("form", ["reversed", "json"])
+    def test_input_layout_does_not_change_merged_bytes(self, tmp_path, small_arch, form):
+        """Inputs whose data regions store tensors in reverse name order, or
+        `.json` fixture inputs, merge to the bytes of canonical inputs."""
+        _write_pair(tmp_path, small_arch)
+        (tmp_path / "r").mkdir()
+        suffix = ".json" if form == "json" else ".safetensors"
+        for name in ("base", "fine"):
+            src, dst = tmp_path / f"{name}.safetensors", tmp_path / "r" / f"{name}{suffix}"
+            if form == "json":
+                write_text_checkpoint(lewis.read_checkpoint(src), dst)
+            else:
+                reverse_data_region(src, dst)
+        outputs = []
+        for d, sfx in ((tmp_path, ".safetensors"), (tmp_path / "r", suffix)):
+            recipe = MergeRecipe(
+                base_path=str(d / f"base{sfx}"), model_paths=[str(d / f"fine{sfx}")],
+                method="dare-ties", plan_refs=0.5, seed=5,
+            )
+            write_checkpoint(merge(recipe), d / "merged.safetensors")
+            outputs.append((d / "merged.safetensors").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("method", ["ties", "dare-linear"])
+    def test_peak_memory_below_two_and_a_half_base_copies(self, tmp_path, method):
+        """merge + write of 3 models holds the output and one tensor of each input,
+        never a whole-model copy of an input."""
+        arch = lewis.ArchConfig(hidden_dim=128, num_blocks=6, num_heads=4, mlp_dim=512)
+        base = lewis.random_checkpoint(arch, seed=51)
+        assert base.num_elements() >= 1_000_000
+        base_f64_bytes = 8 * base.num_elements()
+        rng = np.random.default_rng(52)
+        write_checkpoint(base, tmp_path / "base.safetensors")
+        for i in range(3):
+            fine = Checkpoint(
+                {n: base[n] + 0.01 * rng.standard_normal(base[n].shape) for n in base.names()}
+            )
+            write_checkpoint(fine, tmp_path / f"f{i}.safetensors")
+        del base, fine
+        recipe = MergeRecipe(
+            base_path=str(tmp_path / "base.safetensors"),
+            model_paths=[str(tmp_path / f"f{i}.safetensors") for i in range(3)],
+            method=method, plan_refs=0.6, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            write_checkpoint(merge(recipe), tmp_path / "merged.safetensors")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * base_f64_bytes, f"peak {peak / base_f64_bytes:.2f} base copies"
