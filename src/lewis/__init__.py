@@ -10,12 +10,8 @@ __version__ = "0.1.0"
 
 from .checkpoint import (
     Checkpoint,
-    load_checkpoint,
     read_checkpoint,
-    read_text_checkpoint,
-    save_checkpoint,
     write_checkpoint,
-    write_text_checkpoint,
 )
 from .errors import (
     ArchError,
@@ -35,7 +31,6 @@ from .errors import (
 )
 from .importance import (
     ActivationProfile,
-    ImportanceScores,
     SparsityBounds,
     SparsityPlan,
     build_plan_layer_type,
@@ -45,9 +40,9 @@ from .importance import (
     importance_deltas,
     normalize_and_clip,
 )
-from .merge_methods import disjoint_mean, elect_sign, merge, ties_combine
+from .merge_methods import merge, ties_combine
 from .pruning import apply_plan, magnitude_trim, random_drop_rescale
-from .roles import TensorRole, classify_tensor, detect_naming_scheme, role_classifier
+from .roles import TensorRole, detect_naming_scheme, role_classifier
 from .runtime import (
     ArchConfig,
     CalibrationSet,
@@ -73,7 +68,6 @@ __all__ = [
     "DataOffsetError",
     "HeaderLengthError",
     "HeaderParseError",
-    "ImportanceScores",
     "InvalidTensorError",
     "KeysetMismatchError",
     "MergeError",
@@ -94,16 +88,12 @@ __all__ = [
     "build_plan_lewis",
     "build_plan_topk",
     "build_plan_uniform",
-    "classify_tensor",
     "compute_task_vector",
     "detect_naming_scheme",
-    "disjoint_mean",
-    "elect_sign",
     "eval_loss",
     "forward_capture",
     "forward_logits",
     "importance_deltas",
-    "load_checkpoint",
     "magnitude_trim",
     "merge",
     "normalize_and_clip",
@@ -111,12 +101,9 @@ __all__ = [
     "random_checkpoint",
     "random_drop_rescale",
     "read_checkpoint",
-    "read_text_checkpoint",
     "role_classifier",
-    "save_checkpoint",
     "ties_combine",
     "tokenize",
     "write_checkpoint",
-    "write_text_checkpoint",
     "zero_checkpoint",
 ]

@@ -1,8 +1,8 @@
 """Checkpoint container IO.
 
 A Checkpoint is an ordered (lexicographic) map from tensor name to a dense
-numeric array plus an optional string->string metadata map. On disk the
-primary container is the safetensors layout:
+numeric array plus an optional string->string metadata map. On disk it is
+the safetensors layout:
 
     bytes 0..7    unsigned 64-bit little-endian header length H
     bytes 8..8+H  JSON object  name -> {"dtype", "shape", "data_offsets"}
@@ -16,8 +16,7 @@ with trailing spaces to 8-byte alignment, so equal checkpoints always
 produce byte-identical files. The writer builds the header from each
 tensor's shape and itemsize, then streams one tensor's narrowed words at
 a time into a temp file beside the destination and renames it into
-place, so a failed write never leaves a truncated file behind. The text
-writer renames into place the same way.
+place, so a failed write never leaves a truncated file behind.
 
 Reading is header first: a CheckpointFile reads and checks the whole
 header (dtypes, shapes, offsets inside the file, no overlaps) and reads a
@@ -31,10 +30,6 @@ which is what makes round trips bit-exact; tensors widened from stored
 words are already exact and are not snapped again. One rounding rule
 serves both the snap and the writer: float64 rounds to float32, then to
 F16 or BF16, each step to nearest even, and BF16 NaNs keep the quiet bit.
-
-A second, human-readable JSON format exists for tiny test fixtures; both
-formats are reachable through load_checkpoint/save_checkpoint, dispatched
-on the ".json" extension.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from .errors import (
     HeaderParseError,
     InvalidTensorError,
     UnknownDtypeError,
-    load_document,
 )
 
 # Each stored dtype's little-endian storage word. A BF16 word is the high
@@ -334,71 +328,3 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     """Read a safetensors-container checkpoint from `path`."""
     file = CheckpointFile(path)
     return exact_checkpoint({name: file[name] for name in file.names()}, file.dtypes, file.metadata)
-
-
-# --------------------------------------------------------------------------- #
-# tiny JSON fixture format
-# --------------------------------------------------------------------------- #
-
-def write_text_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    doc = {
-        "metadata": ckpt.metadata,
-        "tensors": {
-            name: {
-                "dtype": ckpt.dtypes[name],
-                "shape": [int(d) for d in arr.shape],
-                "values": arr.ravel().tolist(),
-            }
-            for name, arr in ckpt.tensors.items()
-        },
-    }
-    _write_atomic(path, [json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")])
-
-
-def read_text_checkpoint(path: str | Path) -> Checkpoint:
-    def build(doc: dict) -> Checkpoint:
-        tensors = {}
-        dtypes = {}
-        for name, entry in doc.get("tensors", {}).items():
-            dtype = entry.get("dtype", "F32")
-            if dtype not in DTYPES:
-                raise UnknownDtypeError(f"{path}: tensor {name!r} has unknown dtype {dtype!r}")
-            shape = _int_list(path, name, "shape", entry["shape"])
-            _validate_shape(name, shape)
-            values = np.asarray(entry["values"], dtype=np.float64)
-            if values.size != math.prod(shape):
-                raise InvalidTensorError(
-                    f"{path}: tensor {name!r} has {values.size} values for shape {list(shape)}"
-                )
-            tensors[name] = values.reshape(shape)
-            dtypes[name] = dtype
-        return Checkpoint(tensors, dtypes, doc.get("metadata"))
-
-    return load_document(path, build, HeaderParseError)
-
-
-def open_checkpoint(path: str | Path) -> Checkpoint | CheckpointFile:
-    """Open a checkpoint for tensor-by-tensor reads: safetensors by its header, a ".json" fixture whole."""
-    if str(path).endswith(".json"):
-        return read_text_checkpoint(path)
-    return CheckpointFile(path)
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Load a checkpoint, dispatching on extension (".json" = fixture format)."""
-    if str(path).endswith(".json"):
-        return read_text_checkpoint(path)
-    return read_checkpoint(path)
-
-
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    if str(path).endswith(".json"):
-        write_text_checkpoint(ckpt, path)
-    else:
-        write_checkpoint(ckpt, path)
-
-
-def keyset_diff(left: Iterable[str], right: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Names only in `left`, names only in `right` (both sorted)."""
-    ls, rs = set(left), set(right)
-    return sorted(ls - rs), sorted(rs - ls)

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+# Bound under the names perfbench's traced run wraps to measure the CLI's checkpoint IO.
+from .checkpoint import read_checkpoint as load_checkpoint, write_checkpoint as save_checkpoint
 from .errors import MergeError
 from .importance import (
     ActivationProfile,
@@ -78,10 +79,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             raise MergeError("mode topk needs --profile and --base-profile")
         if args.k is None:
             raise MergeError("mode topk needs --k")
-        scores = importance_deltas(
-            ActivationProfile.load(args.profile), ActivationProfile.load(args.base_profile)
-        )
-        plan = build_plan_topk(scores, args.k, hi=args.hi, lo=args.lo if args.lo is not None else 0.1)
+        profile = ActivationProfile.load(args.profile)
+        scores = importance_deltas(profile, ActivationProfile.load(args.base_profile))
+        lo = args.lo if args.lo is not None else 0.1
+        plan = build_plan_topk(scores, args.k, hi=args.hi, lo=lo, model_id=profile.model_id)
     else:  # layer-type
         if not args.role:
             raise MergeError("mode layer-type needs --role")

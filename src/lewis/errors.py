@@ -4,8 +4,7 @@ Every failure the library raises on purpose derives from MergeError so
 callers (and the CLI) can catch one type. Checkpoint-file problems get
 their own subtree with one class per failure mode; messages always name
 the offending tensor where one exists. `load_document` turns a malformed
-JSON document (arch, profile, plan, recipe, text checkpoint) into its own
-subclass.
+JSON document (arch, profile, plan, recipe) into its own subclass.
 """
 
 from __future__ import annotations

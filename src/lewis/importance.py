@@ -111,14 +111,6 @@ class ActivationProfile:
 
 
 @dataclass
-class ImportanceScores:
-    """Raw per-block norm deviations."""
-
-    model_id: str
-    raw: dict[int, float]
-
-
-@dataclass
 class SparsityPlan:
     """Per-block keep-densities plus a default for tensors outside blocks.
 
@@ -216,8 +208,8 @@ def sha256_hex(text: str) -> str:
 
 def importance_deltas(
     model_profile: ActivationProfile, base_profile: ActivationProfile
-) -> ImportanceScores:
-    """Absolute per-block norm deviation |model - base|."""
+) -> dict[int, float]:
+    """Absolute per-block norm deviation |model - base|, keyed by block."""
     if sorted(model_profile.layer_norms) != sorted(base_profile.layer_norms):
         raise ProfileMismatchError(
             f"layer sets differ: {sorted(model_profile.layer_norms)} vs {sorted(base_profile.layer_norms)}"
@@ -226,11 +218,10 @@ def importance_deltas(
         raise ProfileMismatchError(
             f"norm conventions differ: {model_profile.norm_convention!r} vs {base_profile.norm_convention!r}"
         )
-    raw = {
+    return {
         layer: abs(model_profile.layer_norms[layer] - base_profile.layer_norms[layer])
         for layer in sorted(model_profile.layer_norms)
     }
-    return ImportanceScores(model_id=model_profile.model_id, raw=raw)
 
 
 def normalize_and_clip(
@@ -273,8 +264,7 @@ def build_plan_lewis(
     mode: str = "literal",
 ) -> SparsityPlan:
     """Activation-guided plan: deviation-proportional densities within bounds."""
-    scores = importance_deltas(model_profile, base_profile)
-    densities = normalize_and_clip(scores.raw, bounds, mode)
+    densities = normalize_and_clip(importance_deltas(model_profile, base_profile), bounds, mode)
     return SparsityPlan(
         model_id=model_profile.model_id,
         mode=f"lewis-{mode}",
@@ -289,28 +279,29 @@ def build_plan_lewis(
 
 
 def build_plan_topk(
-    scores: ImportanceScores,
+    scores: Mapping[int, float],
     k_percent: float,
     hi: float = 1.0,
     lo: float = 0.1,
+    model_id: str = "",
 ) -> SparsityPlan:
-    """Top k% most-deviating blocks at density `hi`, the rest at `lo`.
+    """Top k% most-deviating blocks (by per-block `scores`) at density `hi`, the rest at `lo`.
 
     Ties broken toward the lower block index.
     """
-    if not scores.raw:
+    if not scores:
         raise PlanError("importance scores are empty")
     if not (0.0 < k_percent <= 100.0):
         raise PlanError(f"k_percent must lie in (0, 100], got {k_percent}")
     _check_density(hi, "hi density", PlanError)
     _check_density(lo, "lo density", PlanError)
-    layers = sorted(scores.raw)
+    layers = sorted(scores)
     count = math.ceil(k_percent / 100.0 * len(layers))
-    ranked = sorted(layers, key=lambda l: (-scores.raw[l], l))
+    ranked = sorted(layers, key=lambda l: (-scores[l], l))
     top = set(ranked[:count])
     densities = {l: (hi if l in top else lo) for l in layers}
     return SparsityPlan(
-        model_id=scores.model_id,
+        model_id=model_id,
         mode="topk",
         densities=densities,
         default_density=float(sum(densities.values()) / len(densities)),

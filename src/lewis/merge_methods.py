@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, exact_checkpoint, open_checkpoint
+from .checkpoint import Checkpoint, CheckpointFile, exact_checkpoint
 from .errors import RecipeError
 from .importance import SparsityPlan, build_plan_uniform
 from .pruning import apply_plan, mix_seed
@@ -37,30 +37,13 @@ from .task_vectors import (
 )
 
 
-def elect_sign(values: Sequence[float]) -> int:
-    """Sign of the side with greater total magnitude; ties go positive."""
-    if len(values) == 0:
-        raise ValueError("elect_sign needs at least one value")
-    pos = sum(v for v in values if v > 0)
-    neg = sum(-v for v in values if v < 0)
-    return 1 if pos >= neg else -1
-
-
-def disjoint_mean(values: Sequence[float], sign: int) -> float:
-    """Mean of the values matching `sign` (zeros excluded); 0 if none match."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    agreeing = [v for v in values if v * sign > 0]
-    if not agreeing:
-        return 0.0
-    return float(sum(agreeing) / len(agreeing))
-
-
 def ties_combine(stack: np.ndarray) -> np.ndarray:
-    """Vectorized elect-then-mean over a (models, ...) stack of deltas.
+    """Elect-then-mean over a (models, ...) stack of deltas, per parameter position.
 
-    Equivalent to elect_sign/disjoint_mean applied at every parameter
-    position independently.
+    The elected sign is positive when the positive entries' sum is at least
+    the negative entries' total magnitude, else negative. The result is the
+    mean of the entries with the elected sign (zeros never count), or 0
+    where none has it.
     """
     pos = np.fmax(stack, 0.0).sum(axis=0)  # fmax/fmin drop NaN
     neg = np.fmin(stack, 0.0).sum(axis=0)
@@ -94,13 +77,13 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     counter-based drop noise of the DARE methods, keyed by the recipe seed
     and per-model labels.
     """
-    base = open_checkpoint(recipe.base_path)
+    base = CheckpointFile(recipe.base_path)
     model_ids = derive_model_ids(recipe.model_paths)
     if plans is None:
         plans = resolve_plans(recipe, model_ids)
     if len(plans) != len(recipe.model_paths):
         raise RecipeError(f"{len(recipe.model_paths)} models but {len(plans)} plans")
-    models = [open_checkpoint(path) for path in recipe.model_paths]
+    models = [CheckpointFile(path) for path in recipe.model_paths]
     for model, model_id in zip(models, model_ids):
         check_task_vector_inputs(base, model, model_id)
 

@@ -95,13 +95,8 @@ _SCHEMES: dict[str, Callable[[str], TensorRole]] = {
 }
 
 
-def classify_tensor(name: str, naming_scheme: str) -> TensorRole:
-    """Classify `name` under a registered scheme. Total: unknown names are Other."""
-    return role_classifier(naming_scheme)(name)
-
-
 def role_classifier(naming_scheme: str) -> Callable[[str], TensorRole]:
-    """A name -> TensorRole callable bound to one scheme."""
+    """A name -> TensorRole callable bound to one scheme. Total: unknown names are Other."""
     if naming_scheme not in _SCHEMES:
         raise ValueError(
             f"unregistered naming scheme {naming_scheme!r}; known: {sorted(_SCHEMES)}"

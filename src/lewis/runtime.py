@@ -44,8 +44,11 @@ class ArchConfig:
     def __post_init__(self):
         fields = ("vocab_size", "hidden_dim", "num_blocks", "num_heads", "mlp_dim", "max_seq_len")
         for name in fields:
-            if getattr(self, name) <= 0:
-                raise ArchError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # a float or bool size breaks shapes later
+                raise ArchError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
+                raise ArchError(f"{name} must be positive, got {value}")
         if self.hidden_dim % self.num_heads != 0:
             raise ArchError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"

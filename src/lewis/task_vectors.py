@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, _write_atomic, keyset_diff
+from .checkpoint import Checkpoint, _write_atomic
 from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError, load_document
 from .importance import _check_density
 
@@ -41,7 +42,8 @@ class TaskVector:
 
 
 def _require_same_keys(left_names, right_names, what: str) -> None:
-    missing, extra = keyset_diff(left_names, right_names)
+    left, right = set(left_names), set(right_names)
+    missing, extra = sorted(left - right), sorted(right - left)
     if missing or extra:
         raise KeysetMismatchError(
             f"{what}: tensors only in first: {missing}; only in second: {extra}"
@@ -123,6 +125,10 @@ def finalize_checkpoint(
     return out
 
 
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class MergeRecipe:
     """Everything a merge run needs: inputs, weights, method, plans, seed.
@@ -141,6 +147,8 @@ class MergeRecipe:
     naming_scheme: str | None = None
 
     def __post_init__(self):
+        if not _is_str_list(self.model_paths):
+            raise RecipeError(f"model_paths must be a list of paths, got {self.model_paths!r}")
         if not self.model_paths:
             raise RecipeError("recipe needs at least one model")
         if not self.alphas:
@@ -153,28 +161,30 @@ class MergeRecipe:
             raise RecipeError(f"alphas must be finite, got {self.alphas}")
         if self.method not in MERGE_METHODS:
             raise RecipeError(f"unknown method {self.method!r}; known: {list(MERGE_METHODS)}")
-        if isinstance(self.plan_refs, list) and len(self.plan_refs) != len(self.model_paths):
-            raise RecipeError(
-                f"{len(self.model_paths)} models but {len(self.plan_refs)} plan refs"
-            )
-        if isinstance(self.plan_refs, (int, float)):
-            _check_density(self.plan_refs, "uniform plan density", RecipeError)
+        refs = self.plan_refs
+        if _is_str_list(refs):
+            if len(refs) != len(self.model_paths):
+                raise RecipeError(f"{len(self.model_paths)} models but {len(refs)} plan refs")
+        elif isinstance(refs, numbers.Real) and not isinstance(refs, bool):
+            _check_density(refs, "uniform plan density", RecipeError)
+        elif refs is not None:
+            raise RecipeError(f"plan_refs must be null, a density or a list of plan paths, got {refs!r}")
         self.seed = int(self.seed)
 
     @classmethod
     def load(cls, path: str | Path) -> "MergeRecipe":
         root = Path(path).parent  # an absolute path joined onto root stays as it is
 
+        def rooted(paths):  # anything but a list of paths is left for __post_init__ to reject
+            return [str(root / p) for p in paths] if _is_str_list(paths) else paths
+
         def build(doc: dict) -> "MergeRecipe":
-            plan_refs = doc.get("plan_refs")
-            if isinstance(plan_refs, list):
-                plan_refs = [str(root / p) for p in plan_refs]
             return cls(
                 base_path=str(root / doc["base_path"]),
-                model_paths=[str(root / p) for p in doc["model_paths"]],
+                model_paths=rooted(doc["model_paths"]),
                 alphas=[float(a) for a in doc.get("alphas", [])],
                 method=doc.get("method", "ties"),
-                plan_refs=plan_refs,
+                plan_refs=rooted(doc.get("plan_refs")),
                 seed=int(doc.get("seed", 0)),
                 naming_scheme=doc.get("naming_scheme"),
             )

@@ -18,20 +18,18 @@ from lewis import (
     build_plan_layer_type,
     build_plan_topk,
     compute_task_vector,
-    disjoint_mean,
-    elect_sign,
     magnitude_trim,
     merge,
     normalize_and_clip,
     random_drop_rescale,
+    ties_combine,
     write_checkpoint,
 )
-from lewis.importance import ImportanceScores
 from lewis.pruning import trim_count
 from lewis.roles import role_classifier
 
 from conftest import random_fixture_checkpoint
-from test_merge_methods import elect_oracle, mean_oracle
+from test_merge_methods import disjoint_mean, elect_oracle, elect_sign, mean_oracle
 from test_pruning import trim_oracle
 import toyexp
 
@@ -122,6 +120,9 @@ def test_criterion_4_ties_oracles(tmp_path, small_arch):
             assert disjoint_mean(values, sign) == pytest.approx(
                 mean_oracle(values, sign), abs=1e-12
             )
+            assert ties_combine(np.array(values)[:, None])[0] == pytest.approx(
+                mean_oracle(values, elect_oracle(values)), abs=1e-12
+            )
 
         base = lewis.random_checkpoint(small_arch, seed=1004)
         delta_rng = np.random.default_rng(1005)
@@ -167,7 +168,7 @@ def test_criterion_6_partial_and_layer_type_modes(small_arch):
         for k in (40.0, 50.0, 60.0, 70.0, 80.0):
             for n_layers in (4, 7, 18, 32):
                 raw = {l: float(rng.uniform(0, 1)) for l in range(n_layers)}
-                plan = build_plan_topk(ImportanceScores("m", raw), k)
+                plan = build_plan_topk(raw, k)
                 at_hi = sum(1 for d in plan.densities.values() if d == 1.0)
                 assert at_hi == math.ceil(k / 100.0 * n_layers)
                 assert all(d in (1.0, 0.1) for d in plan.densities.values())

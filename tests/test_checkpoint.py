@@ -13,14 +13,10 @@ from hypothesis import strategies as st
 
 from lewis import (
     Checkpoint,
-    classify_tensor,
     detect_naming_scheme,
-    load_checkpoint,
     read_checkpoint,
-    read_text_checkpoint,
-    save_checkpoint,
+    role_classifier,
     write_checkpoint,
-    write_text_checkpoint,
 )
 from lewis.errors import (
     CheckpointError,
@@ -158,9 +154,7 @@ class TestCanonicalWriter:
 
 class TestAtomicWrite:
     @pytest.mark.parametrize(
-        "write, suffix",
-        [(write_checkpoint, ".safetensors"), (write_text_checkpoint, ".json")],
-        ids=["safetensors", "text"],
+        "write, suffix", [(write_checkpoint, ".safetensors")], ids=["safetensors"]
     )
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, write, suffix):
         path = tmp_path / f"m{suffix}"
@@ -305,22 +299,6 @@ class TestFormatErrors:
         with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: tensor 'w' {field}"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "tensors",
-        [
-            {"w": {"dtype": "F32", "values": [1.0]}},
-            {"w": {"shape": "ab", "values": [1.0]}},
-            {"w": {"shape": [1], "values": ["x"]}},
-            {"w": [1.0]},
-            [],
-        ],
-    )
-    def test_malformed_text_entry_names_file(self, tmp_path, tensors):
-        path = tmp_path / "fix.json"
-        path.write_text(json.dumps({"tensors": tensors}))
-        with pytest.raises(HeaderParseError, match=re.escape(str(path))):
-            read_text_checkpoint(path)
-
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         field=st.sampled_from(["shape", "data_offsets", "dtype"]),
@@ -338,6 +316,19 @@ class TestFormatErrors:
             read_checkpoint(path)
         except CheckpointError:
             pass
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_truncation_raises_only_checkpoint_error(self, tmp_path, seed, data):
+        rng = np.random.default_rng(seed)
+        dtypes = {f"t.{dtype}": dtype for dtype in lewis.checkpoint.DTYPES}
+        tensors = {name: rng.standard_normal(tuple(rng.integers(1, 4, size=2))) for name in dtypes}
+        path = tmp_path / "cut.safetensors"
+        write_checkpoint(Checkpoint(tensors, dtypes, {"note": "cut"}), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
 
     def test_file_shrunk_after_open_names_tensor(self, tmp_path):
         path = tmp_path / "s.safetensors"
@@ -401,23 +392,6 @@ class TestDtypeSnapping:
         np.testing.assert_array_equal(ckpt["w"], [1.5, -2.0, 0.0])
 
 
-class TestTextFormat:
-    def test_round_trip(self, tmp_path):
-        ckpt = Checkpoint(
-            {"w": np.array([[1.0, -0.5], [2.0, 0.25]])}, "F32", {"note": "fixture"}
-        )
-        path = tmp_path / "fix.json"
-        write_text_checkpoint(ckpt, path)
-        assert read_text_checkpoint(path) == ckpt
-
-    def test_load_dispatches_on_extension(self, tmp_path):
-        ckpt = Checkpoint({"w": np.ones(2)})
-        save_checkpoint(ckpt, tmp_path / "c.json")
-        save_checkpoint(ckpt, tmp_path / "c.safetensors")
-        assert load_checkpoint(tmp_path / "c.json") == ckpt
-        assert load_checkpoint(tmp_path / "c.safetensors") == ckpt
-
-
 class TestClassify:
     @pytest.mark.parametrize(
         "name,kind,block",
@@ -436,7 +410,7 @@ class TestClassify:
         ],
     )
     def test_llama_style(self, name, kind, block):
-        role = classify_tensor(name, "llama-style")
+        role = role_classifier("llama-style")(name)
         assert role.kind == kind
         assert role.block_index == block
 
@@ -453,7 +427,7 @@ class TestClassify:
         ],
     )
     def test_toy(self, name, kind, block):
-        role = classify_tensor(name, "toy")
+        role = role_classifier("toy")(name)
         assert role.kind == kind
         assert role.block_index == block
 
@@ -471,13 +445,13 @@ class TestClassify:
             name = f"model.layers.{block}.{part}.weight"
             m = oracle.match(name)
             expected_kind = m.group(3).upper() if m.group(3) else "MLP"
-            role = classify_tensor(name, "llama-style")
+            role = role_classifier("llama-style")(name)
             assert role.kind == expected_kind
             assert role.block_index == block
 
     def test_unregistered_scheme(self):
         with pytest.raises(ValueError, match="unregistered"):
-            classify_tensor("w", "nope")
+            role_classifier("nope")("w")
 
     def test_detect_scheme(self):
         assert detect_naming_scheme(["model.layers.0.mlp.up_proj.weight"]) == "llama-style"

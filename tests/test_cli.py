@@ -119,6 +119,7 @@ class TestPlan:
         ])
         assert code == 0
         plan = lewis.SparsityPlan.load(workspace / "topk.json")
+        assert plan.model_id == lewis.ActivationProfile.load(workspace / "fine.profile.json").model_id
         expected = math.ceil(0.7 * len(plan.densities))
         assert sum(1 for d in plan.densities.values() if d == 1.0) == expected
 
@@ -282,6 +283,10 @@ def _merge_recipe_args(ws, doc):
     return ["merge", "--recipe", doc, "--out", ws / "m.safetensors"]
 
 
+def _recipe(**fields):
+    return {"base_path": "base.safetensors", "model_paths": ["fine.safetensors"], **fields}
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "doc, field, args",
@@ -290,8 +295,16 @@ class TestMalformedDocuments:
             ({"model_id": "m", "layer_norms": {"0": 1.0}}, "num_samples", _plan_args),
             ({"mode": "uniform", "default_density": 0.5}, "model_id", _merge_plan_args),
             ({"model_paths": ["fine.safetensors"]}, "base_path", _merge_recipe_args),
+            ({"num_heads": 2.0}, "num_heads", _capture_args),
+            ({"max_seq_len": 16.0}, "max_seq_len", _capture_args),
+            ({"num_blocks": True}, "num_blocks", _capture_args),
+            (_recipe(plan_refs={"a": 1}), "plan_refs", _merge_recipe_args),
+            (_recipe(plan_refs="x"), "plan_refs", _merge_recipe_args),
+            (_recipe(model_paths="fine.safetensors"), "model_paths", _merge_recipe_args),
         ],
-        ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path"],
+        ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
+             "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
+             "recipe-plan_refs-object", "recipe-plan_refs-str", "recipe-model_paths-str"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"

@@ -10,7 +10,6 @@ from lewis import (
     ActivationProfile,
     CalibrationSet,
     Checkpoint,
-    ImportanceScores,
     SparsityBounds,
     SparsityPlan,
     build_plan_layer_type,
@@ -36,11 +35,11 @@ def _profile(norms, model_id="m", convention="mean-token-l2", n=1):
 class TestImportanceDeltas:
     def test_identical_profiles_zero(self):
         scores = importance_deltas(_profile([1.0, 2.0]), _profile([1.0, 2.0], "base"))
-        assert scores.raw == {0: 0.0, 1: 0.0}
+        assert scores == {0: 0.0, 1: 0.0}
 
     def test_absolute_difference(self):
         scores = importance_deltas(_profile([5.0, 2.0]), _profile([3.0, 3.0], "base"))
-        assert scores.raw == {0: 2.0, 1: 1.0}
+        assert scores == {0: 2.0, 1: 1.0}
 
     def test_layer_set_mismatch(self):
         with pytest.raises(ProfileMismatchError):
@@ -74,7 +73,7 @@ class TestImportanceDeltas:
                 np.mean(np.linalg.norm(forward_capture(base, small_arch, s)[layer], axis=-1))
                 for s in calib.samples
             ])
-            assert scores.raw[layer] == pytest.approx(abs(norm_f - norm_b), abs=1e-12)
+            assert scores[layer] == pytest.approx(abs(norm_f - norm_b), abs=1e-12)
 
 
 class TestNormalizeAndClip:
@@ -189,12 +188,12 @@ class TestBuildPlanLewis:
 
 class TestBuildPlanTopk:
     def test_worked_example(self):
-        scores = ImportanceScores("m", {0: 5.0, 1: 2.0, 2: 3.0, 3: 1.0})
+        scores = {0: 5.0, 1: 2.0, 2: 3.0, 3: 1.0}
         plan = build_plan_topk(scores, 50.0)
         assert plan.densities == {0: 1.0, 2: 1.0, 1: 0.1, 3: 0.1}
 
     def test_k_100_all_hi(self):
-        scores = ImportanceScores("m", {0: 1.0, 1: 2.0, 2: 0.5})
+        scores = {0: 1.0, 1: 2.0, 2: 0.5}
         plan = build_plan_topk(scores, 100.0)
         assert all(d == 1.0 for d in plan.densities.values())
 
@@ -202,27 +201,25 @@ class TestBuildPlanTopk:
     def test_reference_grid_counts(self, k):
         rng = np.random.default_rng(int(k))
         for n_layers in (4, 10, 26):
-            scores = ImportanceScores(
-                "m", {l: float(rng.uniform(0, 1)) for l in range(n_layers)}
-            )
+            scores = {l: float(rng.uniform(0, 1)) for l in range(n_layers)}
             plan = build_plan_topk(scores, k)
             expected = math.ceil(k / 100.0 * n_layers)
             assert sum(1 for d in plan.densities.values() if d == 1.0) == expected
 
     def test_ties_prefer_lower_index(self):
-        scores = ImportanceScores("m", {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
+        scores = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
         plan = build_plan_topk(scores, 50.0)
         assert plan.densities == {0: 1.0, 1: 1.0, 2: 0.1, 3: 0.1}
 
     def test_invalid_k(self):
-        scores = ImportanceScores("m", {0: 1.0})
+        scores = {0: 1.0}
         for k in (0.0, -5.0, 101.0):
             with pytest.raises(PlanError):
                 build_plan_topk(scores, k)
 
     def test_empty_scores(self):
         with pytest.raises(PlanError):
-            build_plan_topk(ImportanceScores("m", {}), 50.0)
+            build_plan_topk({}, 50.0)
 
 
 class TestBuildPlanLayerType:

@@ -1,7 +1,12 @@
-"""Sign election, disjoint mean, and the four merge methods."""
+"""Sign election, disjoint mean, and the four merge methods.
+
+`elect_sign` and `disjoint_mean` are scalar reference implementations of
+TIES's elect-then-mean rule; `ties_combine` must agree with them.
+"""
 
 import re
 import tracemalloc
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -12,17 +17,33 @@ from lewis import (
     Checkpoint,
     MergeRecipe,
     build_plan_uniform,
-    disjoint_mean,
-    elect_sign,
     merge,
     ties_combine,
     write_checkpoint,
-    write_text_checkpoint,
 )
 from lewis.errors import RecipeError
 from lewis.pruning import mix_seed
 from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
 from conftest import mismatched_model, reverse_data_region
+
+
+def elect_sign(values: Sequence[float]) -> int:
+    """Sign of the side with greater total magnitude; ties go positive."""
+    if len(values) == 0:
+        raise ValueError("elect_sign needs at least one value")
+    pos = sum(v for v in values if v > 0)
+    neg = sum(-v for v in values if v < 0)
+    return 1 if pos >= neg else -1
+
+
+def disjoint_mean(values: Sequence[float], sign: int) -> float:
+    """Mean of the values matching `sign` (zeros excluded); 0 if none match."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    agreeing = [v for v in values if v * sign > 0]
+    if not agreeing:
+        return 0.0
+    return float(sum(agreeing) / len(agreeing))
 
 
 def elect_oracle(values):
@@ -357,23 +378,18 @@ class TestStreamedMerge:
         with pytest.raises(error, match=rf"'fine'.*'{re.escape(tensor)}'"):
             merge(recipe)
 
-    @pytest.mark.parametrize("form", ["reversed", "json"])
+    @pytest.mark.parametrize("form", ["reversed"])
     def test_input_layout_does_not_change_merged_bytes(self, tmp_path, small_arch, form):
-        """Inputs whose data regions store tensors in reverse name order, or
-        `.json` fixture inputs, merge to the bytes of canonical inputs."""
+        """Inputs whose data regions store tensors in reverse name order merge
+        to the bytes of canonical inputs."""
         _write_pair(tmp_path, small_arch)
         (tmp_path / "r").mkdir()
-        suffix = ".json" if form == "json" else ".safetensors"
         for name in ("base", "fine"):
-            src, dst = tmp_path / f"{name}.safetensors", tmp_path / "r" / f"{name}{suffix}"
-            if form == "json":
-                write_text_checkpoint(lewis.read_checkpoint(src), dst)
-            else:
-                reverse_data_region(src, dst)
+            reverse_data_region(tmp_path / f"{name}.safetensors", tmp_path / "r" / f"{name}.safetensors")
         outputs = []
-        for d, sfx in ((tmp_path, ".safetensors"), (tmp_path / "r", suffix)):
+        for d in (tmp_path, tmp_path / "r"):
             recipe = MergeRecipe(
-                base_path=str(d / f"base{sfx}"), model_paths=[str(d / f"fine{sfx}")],
+                base_path=str(d / "base.safetensors"), model_paths=[str(d / "fine.safetensors")],
                 method="dare-ties", plan_refs=0.5, seed=5,
             )
             write_checkpoint(merge(recipe), d / "merged.safetensors")
