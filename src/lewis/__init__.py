@@ -23,6 +23,7 @@ from .errors import (
     InvalidTensorError,
     KeysetMismatchError,
     MergeError,
+    NonFiniteTensorError,
     PlanError,
     ProfileMismatchError,
     RecipeError,
@@ -72,6 +73,7 @@ __all__ = [
     "KeysetMismatchError",
     "MergeError",
     "MergeRecipe",
+    "NonFiniteTensorError",
     "PlanError",
     "ProfileMismatchError",
     "RecipeError",

@@ -21,7 +21,8 @@ place, so a failed write never leaves a truncated file behind.
 Reading is header first: a CheckpointFile reads and checks the whole
 header (dtypes, shapes, offsets inside the file, no overlaps) and reads a
 tensor's words only when that tensor is indexed. read_checkpoint opens a
-file that way and then reads every tensor.
+file that way and then reads every tensor; asked for finite weights, it
+rejects the first tensor holding NaN or an infinity by file and name.
 
 In memory every tensor is widened to float64 for arithmetic; the dtype it
 was stored with (F32, F16 or BF16) is kept per tensor so writing narrows
@@ -50,6 +51,7 @@ from .errors import (
     HeaderLengthError,
     HeaderParseError,
     InvalidTensorError,
+    NonFiniteTensorError,
     UnknownDtypeError,
 )
 
@@ -324,7 +326,16 @@ class CheckpointFile:
         return _widen(words).reshape(shape)
 
 
-def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a safetensors-container checkpoint from `path`."""
+def read_checkpoint(path: str | Path, finite: bool = False) -> Checkpoint:
+    """Read a safetensors-container checkpoint from `path`.
+
+    With `finite`, a tensor holding NaN or an infinity raises
+    NonFiniteTensorError naming the file and the tensor.
+    """
     file = CheckpointFile(path)
-    return exact_checkpoint({name: file[name] for name in file.names()}, file.dtypes, file.metadata)
+    tensors = {}
+    for name in file.names():
+        tensors[name] = file[name]
+        if finite and not np.isfinite(tensors[name]).all():
+            raise NonFiniteTensorError(f"{path}: tensor {name!r} holds NaN or infinite values")
+    return exact_checkpoint(tensors, file.dtypes, file.metadata)

@@ -46,7 +46,7 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_capture(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
-    ckpt = load_checkpoint(args.model)
+    ckpt = load_checkpoint(args.model, finite=True)
     calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
     model_id = args.model_id or derive_model_ids([args.model])[0]
     profile = profile_model(ckpt, arch, calib, convention=args.convention, model_id=model_id)
@@ -163,7 +163,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, finite=True)
     calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
     loss = eval_loss(ckpt, arch, calib)
     print(f"mean cross-entropy: {loss:.6f}  ({len(calib)} samples)")

@@ -42,6 +42,10 @@ class InvalidTensorError(CheckpointError):
     """A tensor violates the container invariants (empty shape, zero elements, ...)."""
 
 
+class NonFiniteTensorError(CheckpointError):
+    """A stored tensor holds NaN or an infinity where finite weights are required."""
+
+
 class KeysetMismatchError(MergeError):
     """Two checkpoints that must share a keyset do not."""
 

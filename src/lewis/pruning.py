@@ -85,12 +85,17 @@ def random_drop_rescale(
     """Independently keep entries with probability `density`, rescale by 1/density.
 
     Deterministic for fixed (values, density, seed, name); density 1.0 is
-    the exact identity.
+    the exact identity. A density whose rescale 1/density is not finite in
+    the result's dtype (1e-9 in float16 rounds to 0) raises ValueError.
     """
     density = _check_density(density)
     arr = np.asarray(values)
     if density == 1.0:
         return np.array(arr, copy=True)
+    dtype = np.result_type(arr, density)
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.isfinite(np.divide(1.0, density, dtype=dtype)):
+            raise ValueError(f"density {density} has no finite rescale 1/density in {dtype}")
     uniforms = _stream(seed, name).random(arr.size)
     keep = (uniforms < density).reshape(arr.shape)
     # Dropped entries may overflow when rescaled; np.where discards them.

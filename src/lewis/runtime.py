@@ -5,7 +5,15 @@ Q/K/V/O/MLP weight roles: token embedding, then per block [RMS norm,
 causal multi-head attention, residual, RMS norm, two-matrix GELU MLP,
 residual], then a final RMS norm and an untied output head. Tokenization
 is byte-level (one token per byte, vocab 256), so no external tokenizer is
-involved. All arithmetic runs in float64 and is bitwise deterministic.
+involved. All arithmetic runs in float64.
+
+Attention runs as batched matmuls over heads: scores are q (heads, T, dh)
+@ k (heads, dh, T) and the output is the causal softmax (heads, T, T) @ v
+(heads, T, dh), so BLAS does the work. Results are bitwise deterministic
+for a given numpy and BLAS build. They agree with the reference decoder
+that tests/test_runtime.py keeps (the earlier form, which contracted the
+heads outside BLAS) within rtol=1e-12 plus atol=1e-12 times the largest
+|value| of each block output; the order of the sums is all that differs.
 
 Activation capture returns, per block, the post-residual block output as a
 (tokens, hidden) matrix; profiles reduce those to one scalar per block
@@ -234,13 +242,14 @@ def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) ->
     q = x @ _get_weight(ckpt, f"blocks.{i}.attn.wq.weight", shapes["proj"]).T
     k = x @ _get_weight(ckpt, f"blocks.{i}.attn.wk.weight", shapes["proj"]).T
     v = x @ _get_weight(ckpt, f"blocks.{i}.attn.wv.weight", shapes["proj"]).T
-    q = q.reshape(T, arch.num_heads, dh)
-    k = k.reshape(T, arch.num_heads, dh)
-    v = v.reshape(T, arch.num_heads, dh)
-    scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(dh)
+    # Per-head views, no copies: q and v as (heads, T, dh), k as (heads, dh, T).
+    q = q.reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
+    k = k.reshape(T, arch.num_heads, dh).transpose(1, 2, 0)
+    v = v.reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
+    scores = (q @ k) / np.sqrt(dh)
     causal = np.tril(np.ones((T, T), dtype=bool))
     scores = np.where(causal[None, :, :], scores, -np.inf)
-    attn = np.einsum("hts,shd->thd", _softmax(scores), v).reshape(T, d)
+    attn = (_softmax(scores) @ v).transpose(1, 0, 2).reshape(T, d)
     h = h + attn @ _get_weight(ckpt, f"blocks.{i}.attn.wo.weight", shapes["proj"]).T
 
     x = _rms_norm(h, _get_weight(ckpt, f"blocks.{i}.mlp_norm.weight", shapes["norm"]))

@@ -129,6 +129,10 @@ def _is_str_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class MergeRecipe:
     """Everything a merge run needs: inputs, weights, method, plans, seed.
@@ -151,12 +155,18 @@ class MergeRecipe:
             raise RecipeError(f"model_paths must be a list of paths, got {self.model_paths!r}")
         if not self.model_paths:
             raise RecipeError("recipe needs at least one model")
+        if not isinstance(self.alphas, list) or not all(map(_is_real, self.alphas)):
+            raise RecipeError(f"alphas must be a list of numbers, got {self.alphas!r}")
         if not self.alphas:
             self.alphas = [1.0] * len(self.model_paths)
         if len(self.alphas) != len(self.model_paths):
             raise RecipeError(
                 f"{len(self.model_paths)} models but {len(self.alphas)} alphas"
             )
+        try:
+            self.alphas = [float(a) for a in self.alphas]
+        except OverflowError as exc:  # an int beyond the float range
+            raise RecipeError(f"alphas must be finite: {exc}") from exc
         if any(not math.isfinite(a) for a in self.alphas):
             raise RecipeError(f"alphas must be finite, got {self.alphas}")
         if self.method not in MERGE_METHODS:
@@ -165,10 +175,12 @@ class MergeRecipe:
         if _is_str_list(refs):
             if len(refs) != len(self.model_paths):
                 raise RecipeError(f"{len(self.model_paths)} models but {len(refs)} plan refs")
-        elif isinstance(refs, numbers.Real) and not isinstance(refs, bool):
+        elif _is_real(refs):
             _check_density(refs, "uniform plan density", RecipeError)
         elif refs is not None:
             raise RecipeError(f"plan_refs must be null, a density or a list of plan paths, got {refs!r}")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise RecipeError(f"seed must be an int, got {self.seed!r}")
         self.seed = int(self.seed)
 
     @classmethod
@@ -182,10 +194,10 @@ class MergeRecipe:
             return cls(
                 base_path=str(root / doc["base_path"]),
                 model_paths=rooted(doc["model_paths"]),
-                alphas=[float(a) for a in doc.get("alphas", [])],
+                alphas=doc.get("alphas", []),
                 method=doc.get("method", "ties"),
                 plan_refs=rooted(doc.get("plan_refs")),
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
                 naming_scheme=doc.get("naming_scheme"),
             )
 

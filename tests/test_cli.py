@@ -301,10 +301,19 @@ class TestMalformedDocuments:
             (_recipe(plan_refs={"a": 1}), "plan_refs", _merge_recipe_args),
             (_recipe(plan_refs="x"), "plan_refs", _merge_recipe_args),
             (_recipe(model_paths="fine.safetensors"), "model_paths", _merge_recipe_args),
+            (_recipe(model_paths=["fine.safetensors"] * 2, alphas="12"), "alphas", _merge_recipe_args),
+            (_recipe(alphas=[True]), "alphas", _merge_recipe_args),
+            (_recipe(alphas=[None]), "alphas", _merge_recipe_args),
+            (_recipe(alphas=[10**400]), "alphas", _merge_recipe_args),
+            (_recipe(seed=1.7), "seed", _merge_recipe_args),
+            (_recipe(seed=True), "seed", _merge_recipe_args),
+            (_recipe(seed="7"), "seed", _merge_recipe_args),
         ],
         ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
              "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
-             "recipe-plan_refs-object", "recipe-plan_refs-str", "recipe-model_paths-str"],
+             "recipe-plan_refs-object", "recipe-plan_refs-str", "recipe-model_paths-str",
+             "recipe-alphas-str", "recipe-alphas-bool", "recipe-alphas-null", "recipe-alphas-huge-int",
+             "recipe-seed-float", "recipe-seed-bool", "recipe-seed-str"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"
@@ -361,6 +370,39 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 1: token ids must lie in [0, 256)")
         assert "Traceback" not in err
+
+
+def _nonfinite_model(ws, value: float):
+    """fine.safetensors with one weight set to `value`, saved as bad.safetensors."""
+    fine = lewis.read_checkpoint(ws / "fine.safetensors")
+    tensors = dict(fine.tensors)
+    tensors["blocks.1.attn.wq.weight"] = tensors["blocks.1.attn.wq.weight"].copy()
+    tensors["blocks.1.attn.wq.weight"][0, 1] = value
+    path = ws / "bad.safetensors"
+    lewis.write_checkpoint(lewis.Checkpoint(tensors, dict(fine.dtypes)), path)
+    return path
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("command", ["capture", "eval"])
+    def test_rejected_naming_file_and_tensor(self, workspace, capsys, command, value):
+        path = _nonfinite_model(workspace, value)
+        common = ["--arch", workspace / "arch.json", "--calib", workspace / "calib.jsonl"]
+        if command == "capture":
+            args = ["capture", "--model", path, *common, "--out", workspace / "p.json"]
+        else:
+            args = ["eval", "--ckpt", path, *common]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: tensor 'blocks.1.attn.wq.weight'")
+        assert "cross-entropy" not in captured.out
+        assert not (workspace / "p.json").exists()
+
+    def test_inspect_still_reports(self, workspace, capsys):
+        path = _nonfinite_model(workspace, math.nan)
+        assert run(["inspect", "--ckpt", path]) == 0
+        assert "blocks.1.attn.wq.weight" in capsys.readouterr().out
 
 
 class TestInspectAndEval:

@@ -8,6 +8,7 @@ magnitude ties included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -107,8 +108,15 @@ def test_ties_combine_matches_where_oracle(stack):
     name=st.text(max_size=12),
 )
 def test_drop_matches_fancy_index_oracle(values, density, seed, name):
-    # A density that rounds to 0 in float16/float32 divides by zero in both.
-    with np.errstate(all="ignore"):
+    # A density whose rescale overflows in the array's dtype (1e-9 rounds to 0
+    # in float16) is rejected; the oracle would divide by zero.
+    with np.errstate(divide="ignore", over="ignore"):
+        rescale = values.dtype.type(1.0) / values.dtype.type(density)
+    if not np.isfinite(rescale):
+        with pytest.raises(ValueError, match="density"):
+            random_drop_rescale(values, density, seed, name)
+        return
+    with np.errstate(all="ignore"):  # survivors may overflow when rescaled
         _same_bytes(
             random_drop_rescale(values, density, seed, name),
             drop_fancy_index_oracle(values, density, seed, name),

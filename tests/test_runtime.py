@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lewis
 from lewis import (
@@ -21,7 +23,7 @@ from lewis import (
     zero_checkpoint,
 )
 from lewis.errors import ArchError, CalibrationError
-from lewis.runtime import detokenize, tensor_shapes
+from lewis.runtime import _gelu, _rms_norm, _softmax, detokenize, tensor_shapes
 
 
 class TestTokenize:
@@ -153,6 +155,92 @@ class TestForwardCapture:
         ckpt = zero_checkpoint(small_arch)
         with pytest.raises(ArchError):
             forward_capture(ckpt, small_arch, [0, 999])
+
+
+def einsum_forward_oracle(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> list[np.ndarray]:
+    """Block outputs from the earlier decoder body, whose attention ran as two einsums."""
+    d = arch.hidden_dim
+    dh = d // arch.num_heads
+    h = ckpt["embed.weight"][np.asarray(tokens)]
+    T = h.shape[0]
+    captures = []
+    for i in range(arch.num_blocks):
+        w = {name: ckpt[f"blocks.{i}.{name}.weight"] for name in
+             ("attn_norm", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp_norm", "mlp.up", "mlp.down")}
+        x = _rms_norm(h, w["attn_norm"])
+        q = (x @ w["attn.wq"].T).reshape(T, arch.num_heads, dh)
+        k = (x @ w["attn.wk"].T).reshape(T, arch.num_heads, dh)
+        v = (x @ w["attn.wv"].T).reshape(T, arch.num_heads, dh)
+        scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(dh)
+        causal = np.tril(np.ones((T, T), dtype=bool))
+        scores = np.where(causal[None, :, :], scores, -np.inf)
+        attn = np.einsum("hts,shd->thd", _softmax(scores), v).reshape(T, d)
+        h = h + attn @ w["attn.wo"].T
+        x = _rms_norm(h, w["mlp_norm"])
+        h = h + _gelu(x @ w["mlp.up"].T) @ w["mlp.down"].T
+        captures.append(h)
+    return captures
+
+
+def assert_close_to(got: np.ndarray, expected: np.ndarray) -> None:
+    """Elementwise within rtol=1e-12 plus atol=1e-12 times the largest |expected|."""
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@st.composite
+def _decoder_runs(draw):
+    """A random small decoder, its weights at a drawn scale, and one token sequence."""
+    heads = draw(st.sampled_from([1, 2, 4, 8]))
+    arch = ArchConfig(
+        vocab_size=draw(st.integers(2, 64)),
+        hidden_dim=heads * draw(st.integers(1, 16)),
+        num_blocks=draw(st.integers(1, 3)),
+        num_heads=heads,
+        mlp_dim=draw(st.integers(1, 48)),
+        max_seq_len=128,
+    )
+    ckpt = random_checkpoint(
+        arch, seed=draw(st.integers(0, 2**32 - 1)), scale=draw(st.floats(0.01, 1.0))
+    )
+    length = draw(st.integers(1, arch.max_seq_len))
+    tokens = draw(st.lists(st.integers(0, arch.vocab_size - 1), min_size=length, max_size=length))
+    return arch, ckpt, tokens
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_decoder_runs())
+def test_forward_capture_matches_einsum_oracle(run):
+    """Batched-matmul attention matches the einsum form within rtol=1e-12, atol=1e-12 * max|oracle|.
+
+    The two forms add the same products in a different order, so results may
+    differ in the last bits; this test bounds how far.
+    """
+    arch, ckpt, tokens = run
+    got = forward_capture(ckpt, arch, tokens)
+    expected = einsum_forward_oracle(ckpt, arch, tokens)
+    assert len(got) == len(expected) == arch.num_blocks
+    for g, e in zip(got, expected):
+        assert_close_to(g, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_decoder_runs(), data=st.data())
+def test_block_outputs_ignore_later_tokens(run, data):
+    """Changing the tokens after position t leaves every block's rows 0..t unchanged.
+
+    Rows are compared within the oracle test's tolerance: rtol=1e-12,
+    atol=1e-12 * max|rows of the original run|.
+    """
+    arch, ckpt, tokens = run
+    t = data.draw(st.integers(0, len(tokens) - 1), label="t")
+    tail = data.draw(
+        st.lists(st.integers(0, arch.vocab_size - 1), min_size=len(tokens) - t - 1,
+                 max_size=len(tokens) - t - 1),
+        label="tail",
+    )
+    changed = tokens[: t + 1] + tail
+    for a, b in zip(forward_capture(ckpt, arch, tokens), forward_capture(ckpt, arch, changed)):
+        assert_close_to(b[: t + 1], a[: t + 1])
 
 
 class TestActivationNorm:
