@@ -242,11 +242,13 @@ class CheckpointFile:
 
     Opening reads and checks the whole header; indexing reads and widens one
     tensor. It offers a Checkpoint's read side: names(), shapes(), dtypes,
-    metadata and [name].
+    metadata and [name]. With `finite`, indexing a tensor that holds NaN or
+    an infinity raises NonFiniteTensorError naming the file and the tensor.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, finite: bool = False):
         self.path = path
+        self.finite = finite
         with open(path, "rb") as fh:
             prefix = fh.read(8)
             if len(prefix) < 8:
@@ -323,19 +325,13 @@ class CheckpointFile:
                 f"{self.path}: tensor {name!r} needs {count * word.itemsize} bytes "
                 f"but the file ends after {words.size * word.itemsize}"
             )
-        return _widen(words).reshape(shape)
+        arr = _widen(words).reshape(shape)
+        if self.finite and not np.isfinite(arr).all():
+            raise NonFiniteTensorError(f"{self.path}: tensor {name!r} holds NaN or infinite values")
+        return arr
 
 
 def read_checkpoint(path: str | Path, finite: bool = False) -> Checkpoint:
-    """Read a safetensors-container checkpoint from `path`.
-
-    With `finite`, a tensor holding NaN or an infinity raises
-    NonFiniteTensorError naming the file and the tensor.
-    """
-    file = CheckpointFile(path)
-    tensors = {}
-    for name in file.names():
-        tensors[name] = file[name]
-        if finite and not np.isfinite(tensors[name]).all():
-            raise NonFiniteTensorError(f"{path}: tensor {name!r} holds NaN or infinite values")
-    return exact_checkpoint(tensors, file.dtypes, file.metadata)
+    """Read a safetensors-container checkpoint from `path`; `finite` as for CheckpointFile."""
+    file = CheckpointFile(path, finite)
+    return exact_checkpoint({name: file[name] for name in file.names()}, file.dtypes, file.metadata)

@@ -109,29 +109,20 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     else:
         if not args.base or not args.model:
             raise MergeError("merge needs --recipe, or --base plus at least one --model")
-        plan_refs: list[str] | float | None
-        if args.plan:
-            plan_refs = args.plan
-        elif args.density is not None:
-            plan_refs = args.density
-        else:
-            plan_refs = None
         recipe = MergeRecipe(
             base_path=args.base,
             model_paths=args.model,
             alphas=args.alpha or [],
             method=args.method,
-            plan_refs=plan_refs,
+            plan_refs=args.plan or args.density,  # exclusive options: at most one is set
             seed=args.seed,
-            naming_scheme=args.scheme,
         )
     model_ids = derive_model_ids(recipe.model_paths)
     plans = resolve_plans(recipe, model_ids)
     merged = merge(recipe, plans)
     save_checkpoint(merged, args.out)
 
-    scheme = recipe.naming_scheme or detect_naming_scheme(merged.names())
-    roles = role_classifier(scheme)
+    roles = role_classifier(detect_naming_scheme(merged.names()))
     print(f"merged {len(recipe.model_paths)} model(s) via {recipe.method} -> {args.out}")
     rows = []
     for model_id, plan in zip(model_ids, plans):
@@ -144,8 +135,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    scheme = args.scheme or detect_naming_scheme(ckpt.names())
-    roles = role_classifier(scheme)
+    roles = role_classifier(detect_naming_scheme(ckpt.names()))
     rows = []
     for name in ckpt.names():
         arr = ckpt[name]
@@ -212,16 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="append", help="fine-tuned checkpoint (repeatable)")
     p.add_argument("--alpha", action="append", type=float, help="per-model scale (repeatable)")
     p.add_argument("--method", default="ties", choices=list(MERGE_METHODS))
-    p.add_argument("--plan", action="append", help="sparsity plan path, one per model")
-    p.add_argument("--density", type=float, help="uniform keep-density for all models")
+    plans = p.add_mutually_exclusive_group()
+    plans.add_argument("--plan", action="append", help="sparsity plan path, one per model")
+    plans.add_argument("--density", type=float, help="uniform keep-density for all models")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", default=None, help="tensor naming scheme (default: auto)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("inspect", help="list tensors, roles, shapes, dtypes, nonzero fractions")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--scheme", default=None)
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("eval", help="mean next-token cross-entropy on a calibration set")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -40,12 +41,26 @@ PLAN_MODES = ("lewis-literal", "lewis-minmax", "uniform", "topk", "layer-type")
 NORM_CONVENTIONS = ("mean-token-l2", "frobenius")
 
 
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_density(value: float, what: str = "density", error: type[Exception] = ValueError) -> float:
     """`value` as a float if it is a keep-density in (0, 1], else raise `error` naming `what`."""
+    if not _is_real(value):
+        raise error(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not (0.0 < value <= 1.0) or math.isnan(value):
         raise error(f"{what} must lie in (0, 1], got {value}")
     return value
+
+
+def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
+    """`mapping` with its block-id keys (ints or decimal strings) made ints, else raise `error` naming `what`."""
+    try:
+        return {int(k): v for k, v in mapping.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"{what} must map block ids to values: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -56,7 +71,9 @@ class SparsityBounds:
     epsilon: float
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= self.epsilon <= 1.0):
+        if not (_is_real(self.gamma) and _is_real(self.epsilon)) or not (
+            0.0 < self.gamma <= self.epsilon <= 1.0
+        ):
             raise PlanError(
                 f"bounds must satisfy 0 < gamma <= epsilon <= 1, got [{self.gamma}, {self.epsilon}]"
             )
@@ -72,15 +89,25 @@ class ActivationProfile:
     norm_convention: str = "mean-token-l2"
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ProfileMismatchError(f"num_samples must be >= 1, got {self.num_samples}")
-        self.layer_norms = {int(k): float(v) for k, v in self.layer_norms.items()}
+        if not isinstance(self.model_id, str):
+            raise ProfileMismatchError(f"model_id must be a string, got {self.model_id!r}")
+        n = self.num_samples
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ProfileMismatchError(f"num_samples must be an int >= 1, got {n!r}")
+        if self.norm_convention not in NORM_CONVENTIONS:
+            raise ProfileMismatchError(
+                f"unknown norm_convention {self.norm_convention!r}; known: {list(NORM_CONVENTIONS)}"
+            )
+        self.layer_norms = _by_block(self.layer_norms, "layer_norms", ProfileMismatchError)
         ids = sorted(self.layer_norms)
         if ids != list(range(len(ids))):
             raise ProfileMismatchError(f"layer ids must be contiguous 0..L-1, got {ids}")
         for layer, value in self.layer_norms.items():
-            if not math.isfinite(value) or value < 0:
-                raise ProfileMismatchError(f"layer {layer} norm must be finite and >= 0, got {value}")
+            if not _is_real(value) or not math.isfinite(value) or value < 0:
+                raise ProfileMismatchError(
+                    f"layer_norms: layer {layer} norm must be a finite number >= 0, got {value!r}"
+                )
+            self.layer_norms[layer] = float(value)
 
     def to_dict(self) -> dict:
         return {
@@ -94,8 +121,8 @@ class ActivationProfile:
     def from_dict(cls, doc: Mapping) -> "ActivationProfile":
         return cls(
             model_id=doc["model_id"],
-            layer_norms={int(k): float(v) for k, v in doc["layer_norms"].items()},
-            num_samples=int(doc["num_samples"]),
+            layer_norms=doc["layer_norms"],
+            num_samples=doc["num_samples"],
             norm_convention=doc.get("norm_convention", "mean-token-l2"),
         )
 
@@ -128,18 +155,26 @@ class SparsityPlan:
     provenance: dict[str, str] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.model_id, str):
+            raise PlanError(f"model_id must be a string, got {self.model_id!r}")
         if self.mode not in PLAN_MODES:
             raise PlanError(f"unknown plan mode {self.mode!r}; known: {list(PLAN_MODES)}")
         self.densities = {
-            int(k): _check_density(v, f"density for block {k}", PlanError) for k, v in self.densities.items()
+            k: _check_density(v, f"densities: density for block {k}", PlanError)
+            for k, v in _by_block(self.densities, "densities", PlanError).items()
         }
         if self.default_density is not None:
             self.default_density = _check_density(self.default_density, "default_density", PlanError)
         if self.role_overrides is not None:
-            for kind, value in self.role_overrides.items():
+            if not isinstance(self.role_overrides, Mapping):
+                raise PlanError(f"role_overrides must map role kinds to densities, got {self.role_overrides!r}")
+            for kind in self.role_overrides:
                 if kind not in BLOCK_KINDS:
                     raise PlanError(f"role override for non-block kind {kind!r}")
-                _check_density(value, f"density for role {kind}", PlanError)
+            self.role_overrides = {
+                kind: _check_density(value, f"role_overrides: density for role {kind}", PlanError)
+                for kind, value in self.role_overrides.items()
+            }
 
     def density_for(self, role: TensorRole, name: str = "") -> float:
         """Keep-density for a tensor with the given role.
@@ -173,10 +208,12 @@ class SparsityPlan:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SparsityPlan":
         bounds = doc.get("bounds")
+        if bounds is not None and not (isinstance(bounds, list) and len(bounds) == 2):
+            raise PlanError(f"bounds must be [gamma, epsilon], got {bounds!r}")
         return cls(
             model_id=doc["model_id"],
             mode=doc["mode"],
-            densities={int(k): float(v) for k, v in doc.get("densities", {}).items()},
+            densities=doc.get("densities", {}),
             default_density=doc.get("default_density"),
             bounds=None if bounds is None else SparsityBounds(*bounds),
             role_overrides=doc.get("role_overrides"),

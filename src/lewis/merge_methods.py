@@ -3,10 +3,12 @@
 All four methods run one flow, one tensor at a time. The base and every
 model are opened by their headers, and their names and shapes are checked
 against each other before any tensor data is read. Then, for each tensor
-name, that tensor of each input is read, turned into a task vector and
-pruned at its plan's density (magnitude trim for task-arithmetic and ties,
-random drop and rescale for the DARE methods), the pruned deltas are
-combined and the result is snapped to the base's dtype and checked finite.
+name, that tensor of each input is read and checked finite (else
+NonFiniteTensorError names the file and the tensor), turned into a task
+vector and pruned at its plan's density (magnitude trim for
+task-arithmetic and ties, random drop and rescale for the DARE methods),
+the pruned deltas are combined and the result is snapped to the base's
+dtype and checked finite.
 Only the merged output is held whole. Task arithmetic and dare-linear add
 the alpha-scaled deltas to the base in model order; ties and dare-ties
 first elect a per-parameter sign by total magnitude across models and
@@ -77,18 +79,17 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     counter-based drop noise of the DARE methods, keyed by the recipe seed
     and per-model labels.
     """
-    base = CheckpointFile(recipe.base_path)
+    base = CheckpointFile(recipe.base_path, finite=True)
     model_ids = derive_model_ids(recipe.model_paths)
     if plans is None:
         plans = resolve_plans(recipe, model_ids)
     if len(plans) != len(recipe.model_paths):
         raise RecipeError(f"{len(recipe.model_paths)} models but {len(plans)} plans")
-    models = [CheckpointFile(path) for path in recipe.model_paths]
+    models = [CheckpointFile(path, finite=True) for path in recipe.model_paths]
     for model, model_id in zip(models, model_ids):
         check_task_vector_inputs(base, model, model_id)
 
-    scheme = recipe.naming_scheme or detect_naming_scheme(base.names())
-    roles = role_classifier(scheme)
+    roles = role_classifier(detect_naming_scheme(base.names()))
     g_mode = "magnitude" if recipe.method in ("task-arithmetic", "ties") else "random"
     seeds = [mix_seed(recipe.seed, f"model-{p}") for p in range(len(models))]
 

@@ -4,7 +4,8 @@ Merging plans are keyed by transformer block and, for the layer-type plan
 mode, by the role a weight matrix plays inside its block (Q, K, V, O or
 MLP). Naming schemes map checkpoint tensor names onto those roles; two
 schemes ship built in, "llama-style" for HF-layout decoder checkpoints and
-"toy" for the minimal runtime in this package.
+"toy" for the minimal runtime in this package. One table holds both, and
+the scheme a checkpoint uses is read off its tensor names.
 """
 
 from __future__ import annotations
@@ -31,67 +32,36 @@ class TensorRole:
             raise ValueError(f"kind {self.kind} requires a block index")
 
 
-_LLAMA_BLOCK = re.compile(r"^model\.layers\.(\d+)\.(.+)$")
-_TOY_BLOCK = re.compile(r"^blocks\.(\d+)\.(.+)$")
-
-_LLAMA_INNER = (
-    ("self_attn.q_proj", "Q"),
-    ("self_attn.k_proj", "K"),
-    ("self_attn.v_proj", "V"),
-    ("self_attn.o_proj", "O"),
-    ("mlp.", "MLP"),
-    ("input_layernorm", "Norm"),
-    ("post_attention_layernorm", "Norm"),
-)
-
-_TOY_INNER = (
-    ("attn.wq", "Q"),
-    ("attn.wk", "K"),
-    ("attn.wv", "V"),
-    ("attn.wo", "O"),
-    ("mlp.", "MLP"),
-    ("attn_norm", "Norm"),
-    ("mlp_norm", "Norm"),
-)
-
-
-def _classify_llama(name: str) -> TensorRole:
-    m = _LLAMA_BLOCK.match(name)
-    if m:
-        block, inner = int(m.group(1)), m.group(2)
-        for prefix, kind in _LLAMA_INNER:
-            if inner.startswith(prefix):
-                return TensorRole(kind, block)
-        return TensorRole("Other")
-    if name.startswith("model.embed_tokens"):
-        return TensorRole("Embedding")
-    if name.startswith("model.norm"):
-        return TensorRole("Norm")
-    if name.startswith("lm_head"):
-        return TensorRole("Head")
-    return TensorRole("Other")
-
-
-def _classify_toy(name: str) -> TensorRole:
-    m = _TOY_BLOCK.match(name)
-    if m:
-        block, inner = int(m.group(1)), m.group(2)
-        for prefix, kind in _TOY_INNER:
-            if inner.startswith(prefix):
-                return TensorRole(kind, block)
-        return TensorRole("Other")
-    if name.startswith("embed."):
-        return TensorRole("Embedding")
-    if name.startswith("final_norm"):
-        return TensorRole("Norm")
-    if name.startswith("head."):
-        return TensorRole("Head")
-    return TensorRole("Other")
-
-
-_SCHEMES: dict[str, Callable[[str], TensorRole]] = {
-    "llama-style": _classify_llama,
-    "toy": _classify_toy,
+# Per scheme: the block-name prefix (followed by the block index and a dot),
+# each in-block prefix with its role, then each top-level prefix with its role.
+# Prefixes are tried in order; a name no prefix claims is Other.
+_SCHEMES: dict[str, tuple[str, tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]] = {
+    "llama-style": (
+        "model.layers.",
+        (
+            ("self_attn.q_proj", "Q"),
+            ("self_attn.k_proj", "K"),
+            ("self_attn.v_proj", "V"),
+            ("self_attn.o_proj", "O"),
+            ("mlp.", "MLP"),
+            ("input_layernorm", "Norm"),
+            ("post_attention_layernorm", "Norm"),
+        ),
+        (("model.embed_tokens", "Embedding"), ("model.norm", "Norm"), ("lm_head", "Head")),
+    ),
+    "toy": (
+        "blocks.",
+        (
+            ("attn.wq", "Q"),
+            ("attn.wk", "K"),
+            ("attn.wv", "V"),
+            ("attn.wo", "O"),
+            ("mlp.", "MLP"),
+            ("attn_norm", "Norm"),
+            ("mlp_norm", "Norm"),
+        ),
+        (("embed.", "Embedding"), ("final_norm", "Norm"), ("head.", "Head")),
+    ),
 }
 
 
@@ -101,14 +71,24 @@ def role_classifier(naming_scheme: str) -> Callable[[str], TensorRole]:
         raise ValueError(
             f"unregistered naming scheme {naming_scheme!r}; known: {sorted(_SCHEMES)}"
         )
-    return _SCHEMES[naming_scheme]
+    block_prefix, inner, top = _SCHEMES[naming_scheme]
+    block = re.compile(re.escape(block_prefix) + r"(\d+)\.(.+)$")
+
+    def classify(name: str) -> TensorRole:
+        m = block.match(name)
+        index, rest, prefixes = (int(m.group(1)), m.group(2), inner) if m else (None, name, top)
+        for prefix, kind in prefixes:
+            if rest.startswith(prefix):
+                return TensorRole(kind, index)
+        return TensorRole("Other")
+
+    return classify
 
 
 def detect_naming_scheme(names: Iterable[str]) -> str:
-    """Guess the scheme from tensor names; defaults to llama-style."""
+    """The scheme whose block or top-level prefix the first claimed name starts with; llama-style if none."""
     for name in names:
-        if name.startswith(("model.layers.", "model.embed_tokens", "lm_head")):
-            return "llama-style"
-        if name.startswith(("blocks.", "embed.", "final_norm", "head.")):
-            return "toy"
+        for scheme, (block_prefix, _, top) in _SCHEMES.items():
+            if name.startswith((block_prefix, *(prefix for prefix, _ in top))):
+                return scheme
     return "llama-style"

@@ -10,10 +10,13 @@ involved. All arithmetic runs in float64.
 Attention runs as batched matmuls over heads: scores are q (heads, T, dh)
 @ k (heads, dh, T) and the output is the causal softmax (heads, T, T) @ v
 (heads, T, dh), so BLAS does the work. Results are bitwise deterministic
-for a given numpy and BLAS build. They agree with the reference decoder
-that tests/test_runtime.py keeps (the earlier form, which contracted the
-heads outside BLAS) within rtol=1e-12 plus atol=1e-12 times the largest
-|value| of each block output; the order of the sums is all that differs.
+for a given numpy and BLAS build. Given the same input, each block agrees
+with the reference block that tests/test_runtime.py keeps (the earlier
+form, which contracted the heads outside BLAS) within rtol=1e-12 plus
+atol=1e-12 times the largest |value| of its output; the order of the sums
+is all that differs. Run end to end, the gap grows with depth and weight
+scale, because each block amplifies the rounding it is handed (about 15x
+per block at weight scale ~1).
 
 Activation capture returns, per block, the post-residual block output as a
 (tokens, hidden) matrix; profiles reduce those to one scalar per block

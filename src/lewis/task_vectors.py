@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, _write_atomic
 from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError, load_document
-from .importance import _check_density
+from .importance import _check_density, _is_real
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
 
@@ -129,10 +129,6 @@ def _is_str_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _is_real(value: object) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class MergeRecipe:
     """Everything a merge run needs: inputs, weights, method, plans, seed.
@@ -148,7 +144,6 @@ class MergeRecipe:
     method: str = "ties"
     plan_refs: list[str] | float | None = None
     seed: int = 0
-    naming_scheme: str | None = None
 
     def __post_init__(self):
         if not _is_str_list(self.model_paths):
@@ -191,6 +186,10 @@ class MergeRecipe:
             return [str(root / p) for p in paths] if _is_str_list(paths) else paths
 
         def build(doc: dict) -> "MergeRecipe":
+            known = [f.name for f in fields(cls)]
+            unknown = sorted(doc.keys() - set(known))
+            if unknown:
+                raise RecipeError(f"unknown fields {unknown}; known: {known}")
             return cls(
                 base_path=str(root / doc["base_path"]),
                 model_paths=rooted(doc["model_paths"]),
@@ -198,7 +197,6 @@ class MergeRecipe:
                 method=doc.get("method", "ties"),
                 plan_refs=rooted(doc.get("plan_refs")),
                 seed=doc.get("seed", 0),
-                naming_scheme=doc.get("naming_scheme"),
             )
 
         return load_document(path, build, RecipeError)
@@ -212,6 +210,4 @@ class MergeRecipe:
             "plan_refs": self.plan_refs,
             "seed": self.seed,
         }
-        if self.naming_scheme is not None:
-            doc["naming_scheme"] = self.naming_scheme
         _write_atomic(path, [json.dumps(doc, indent=1, sort_keys=True).encode()])

@@ -251,6 +251,30 @@ class TestMerge:
         assert "Traceback" not in err
         assert sorted(p.name for p in workspace.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["merge", "inspect"])
+    def test_scheme_option_is_gone(self, workspace, command):
+        """The naming scheme comes from the tensor names; no option sets it."""
+        if command == "merge":
+            args = ["merge", "--base", workspace / "base.safetensors",
+                    "--model", workspace / "fine.safetensors", "--out", workspace / "m.safetensors"]
+        else:
+            args = ["inspect", "--ckpt", workspace / "base.safetensors"]
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "--scheme", "toy"])
+        assert exc.value.code == 2
+
+    def test_plan_and_density_are_exclusive(self, workspace, capsys):
+        lewis.build_plan_uniform(0.5).save(workspace / "u.json")
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "merge", "--base", workspace / "base.safetensors",
+                "--model", workspace / "fine.safetensors", "--plan", workspace / "u.json",
+                "--density", "0.9", "--out", workspace / "m.safetensors",
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (workspace / "m.safetensors").exists()
+
     def test_out_may_be_the_base(self, workspace):
         args = [
             "merge", "--base", workspace / "base.safetensors",
@@ -308,12 +332,37 @@ class TestMalformedDocuments:
             (_recipe(seed=1.7), "seed", _merge_recipe_args),
             (_recipe(seed=True), "seed", _merge_recipe_args),
             (_recipe(seed="7"), "seed", _merge_recipe_args),
+            (_recipe(alpha=[2.0]), "'alpha'", _merge_recipe_args),
+            (_recipe(plan_ref=0.5), "'plan_ref'", _merge_recipe_args),
+            (_recipe(sed=3), "'sed'", _merge_recipe_args),
+            (_recipe(naming_scheme="toy"), "'naming_scheme'", _merge_recipe_args),
+            ({"model_id": "m", "layer_norms": {"0": 1.0}, "num_samples": 2.7}, "num_samples", _plan_args),
+            ({"model_id": "m", "layer_norms": {"0": 1.0}, "num_samples": True}, "num_samples", _plan_args),
+            ({"model_id": "m", "layer_norms": {"0": True}, "num_samples": 1}, "layer_norms", _plan_args),
+            ({"model_id": "m", "layer_norms": {"0": "2.5"}, "num_samples": 1}, "layer_norms", _plan_args),
+            ({"model_id": "m", "layer_norms": {"x": 1.0}, "num_samples": 1}, "layer_norms", _plan_args),
+            ({"model_id": 5, "layer_norms": {"0": 1.0}, "num_samples": 1}, "model_id", _plan_args),
+            ({"model_id": "m", "layer_norms": {"0": 1.0}, "num_samples": 1, "norm_convention": "nuclear"},
+             "norm_convention", _plan_args),
+            ({"model_id": "m", "mode": "uniform", "default_density": True}, "default_density", _merge_plan_args),
+            ({"model_id": "m", "mode": "layer-type", "default_density": 0.5, "role_overrides": {"Q": "0.5"}},
+             "role_overrides", _merge_plan_args),
+            ({"model_id": "m", "mode": "uniform", "default_density": 0.5, "bounds": [True, 1]},
+             "bounds", _merge_plan_args),
+            ({"model_id": "m", "mode": "uniform", "default_density": 0.5, "bounds": [0.5, 0.8, 0.9]},
+             "bounds", _merge_plan_args),
+            ({"model_id": "m", "mode": "lewis-minmax", "densities": {"0": True, "1": 0.5}},
+             "densities", _merge_plan_args),
         ],
         ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
              "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
              "recipe-plan_refs-object", "recipe-plan_refs-str", "recipe-model_paths-str",
              "recipe-alphas-str", "recipe-alphas-bool", "recipe-alphas-null", "recipe-alphas-huge-int",
-             "recipe-seed-float", "recipe-seed-bool", "recipe-seed-str"],
+             "recipe-seed-float", "recipe-seed-bool", "recipe-seed-str",
+             "recipe-unknown-alpha", "recipe-unknown-plan_ref", "recipe-unknown-sed", "recipe-unknown-naming_scheme",
+             "profile-float-num_samples", "profile-bool-num_samples", "profile-bool-norm", "profile-str-norm",
+             "profile-str-layer-id", "profile-int-model_id", "profile-unknown-convention", "plan-bool-default",
+             "plan-str-role-override", "plan-bool-bounds", "plan-three-bounds", "plan-bool-density"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"
@@ -398,6 +447,30 @@ class TestNonFiniteWeights:
         assert captured.err.startswith(f"error: {path}: tensor 'blocks.1.attn.wq.weight'")
         assert "cross-entropy" not in captured.out
         assert not (workspace / "p.json").exists()
+
+    @pytest.mark.parametrize("density", ["0.5", "1.0"])
+    @pytest.mark.parametrize("method", ["ties", "task-arithmetic", "dare-linear", "dare-ties"])
+    def test_merge_rejects_naming_file_and_tensor(self, workspace, capsys, method, density):
+        path = _nonfinite_model(workspace, math.nan)
+        code = run([
+            "merge", "--base", workspace / "base.safetensors", "--model", workspace / "fine.safetensors",
+            "--model", path, "--method", method, "--density", density, "--out", workspace / "m.safetensors",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: tensor 'blocks.1.attn.wq.weight'")
+        assert "Traceback" not in err
+        assert not (workspace / "m.safetensors").exists()
+
+    def test_merge_rejects_non_finite_base(self, workspace, capsys):
+        path = _nonfinite_model(workspace, math.inf)
+        code = run([
+            "merge", "--base", path, "--model", workspace / "fine.safetensors",
+            "--out", workspace / "m.safetensors",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: tensor 'blocks.1.attn.wq.weight'")
+        assert not (workspace / "m.safetensors").exists()
 
     def test_inspect_still_reports(self, workspace, capsys):
         path = _nonfinite_model(workspace, math.nan)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lewis
@@ -157,29 +157,24 @@ class TestForwardCapture:
             forward_capture(ckpt, small_arch, [0, 999])
 
 
-def einsum_forward_oracle(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> list[np.ndarray]:
-    """Block outputs from the earlier decoder body, whose attention ran as two einsums."""
+def einsum_block_oracle(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
+    """Block `i`'s output on input `h` from the earlier decoder body, whose attention ran as two einsums."""
     d = arch.hidden_dim
     dh = d // arch.num_heads
-    h = ckpt["embed.weight"][np.asarray(tokens)]
     T = h.shape[0]
-    captures = []
-    for i in range(arch.num_blocks):
-        w = {name: ckpt[f"blocks.{i}.{name}.weight"] for name in
-             ("attn_norm", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp_norm", "mlp.up", "mlp.down")}
-        x = _rms_norm(h, w["attn_norm"])
-        q = (x @ w["attn.wq"].T).reshape(T, arch.num_heads, dh)
-        k = (x @ w["attn.wk"].T).reshape(T, arch.num_heads, dh)
-        v = (x @ w["attn.wv"].T).reshape(T, arch.num_heads, dh)
-        scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(dh)
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        scores = np.where(causal[None, :, :], scores, -np.inf)
-        attn = np.einsum("hts,shd->thd", _softmax(scores), v).reshape(T, d)
-        h = h + attn @ w["attn.wo"].T
-        x = _rms_norm(h, w["mlp_norm"])
-        h = h + _gelu(x @ w["mlp.up"].T) @ w["mlp.down"].T
-        captures.append(h)
-    return captures
+    w = {name: ckpt[f"blocks.{i}.{name}.weight"] for name in
+         ("attn_norm", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp_norm", "mlp.up", "mlp.down")}
+    x = _rms_norm(h, w["attn_norm"])
+    q = (x @ w["attn.wq"].T).reshape(T, arch.num_heads, dh)
+    k = (x @ w["attn.wk"].T).reshape(T, arch.num_heads, dh)
+    v = (x @ w["attn.wv"].T).reshape(T, arch.num_heads, dh)
+    scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(dh)
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    scores = np.where(causal[None, :, :], scores, -np.inf)
+    attn = np.einsum("hts,shd->thd", _softmax(scores), v).reshape(T, d)
+    h = h + attn @ w["attn.wo"].T
+    x = _rms_norm(h, w["mlp_norm"])
+    return h + _gelu(x @ w["mlp.up"].T) @ w["mlp.down"].T
 
 
 def assert_close_to(got: np.ndarray, expected: np.ndarray) -> None:
@@ -207,20 +202,36 @@ def _decoder_runs(draw):
     return arch, ckpt, tokens
 
 
+def _deep_run():
+    """Three blocks at weight scale ~1, where rounding grows ~15x per block.
+
+    Run end to end, the two forms' block-2 outputs differ by 1.16e-9, about
+    twice the tolerance; each block on the same input stays well inside it.
+    """
+    arch = ArchConfig(vocab_size=16, hidden_dim=64, num_blocks=3, num_heads=8, mlp_dim=7, max_seq_len=128)
+    ckpt = random_checkpoint(arch, seed=1489, scale=0.9917537167107989)
+    return arch, ckpt, [7, 9, 1, 1, 2, 13, 0, 14, 0, 0, 4, 6, 8, 9, 12, 13, 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(run=_decoder_runs())
+@example(run=_deep_run())
 def test_forward_capture_matches_einsum_oracle(run):
-    """Batched-matmul attention matches the einsum form within rtol=1e-12, atol=1e-12 * max|oracle|.
+    """Each block matches the einsum form on the same input within rtol=1e-12, atol=1e-12 * max|oracle|.
 
     The two forms add the same products in a different order, so results may
-    differ in the last bits; this test bounds how far.
+    differ in the last bits; this test bounds how far, per block. Block `i`'s
+    oracle input is the runtime's own output of block `i - 1` (the embedding
+    for block 0): run end to end, each block amplifies the rounding gap it is
+    handed, so the gap after several blocks grows with depth and weight scale
+    and is no measure of one block's error.
     """
     arch, ckpt, tokens = run
     got = forward_capture(ckpt, arch, tokens)
-    expected = einsum_forward_oracle(ckpt, arch, tokens)
-    assert len(got) == len(expected) == arch.num_blocks
-    for g, e in zip(got, expected):
-        assert_close_to(g, e)
+    assert len(got) == arch.num_blocks
+    inputs = [ckpt["embed.weight"][np.asarray(tokens)], *got[:-1]]
+    for i, (g, h) in enumerate(zip(got, inputs)):
+        assert_close_to(g, einsum_block_oracle(ckpt, arch, i, h))
 
 
 @settings(max_examples=100, deadline=None)
