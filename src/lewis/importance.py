@@ -175,6 +175,11 @@ class SparsityPlan:
                 kind: _check_density(value, f"role_overrides: density for role {kind}", PlanError)
                 for kind, value in self.role_overrides.items()
             }
+        if self.provenance is not None and not (
+            isinstance(self.provenance, Mapping)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in self.provenance.items())
+        ):
+            raise PlanError(f"provenance must map strings to strings, got {self.provenance!r}")
 
     def density_for(self, role: TensorRole, name: str = "") -> float:
         """Keep-density for a tensor with the given role.

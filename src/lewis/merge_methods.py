@@ -12,16 +12,18 @@ dtype and checked finite.
 Only the merged output is held whole. Task arithmetic and dare-linear add
 the alpha-scaled deltas to the base in model order; ties and dare-ties
 first elect a per-parameter sign by total magnitude across models and
-average only the deltas that agree with it. Alphas are applied as a global
-per-model scale before sign election, so the single-model full-density
-merge is exactly the fine-tuned checkpoint.
+average only the deltas that agree with it: the elected side's sum / the
+elected side's count, from per-model running sums taken in model order, so
+combine memory does not grow with the number of models. Alphas are applied
+as a global per-model scale before sign election, so the single-model
+full-density merge is exactly the fine-tuned checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,20 +41,33 @@ from .task_vectors import (
 )
 
 
-def ties_combine(stack: np.ndarray) -> np.ndarray:
-    """Elect-then-mean over a (models, ...) stack of deltas, per parameter position.
+def ties_combine(deltas: Iterable[np.ndarray]) -> np.ndarray:
+    """Elect-then-mean over a sequence of deltas (a list, or a (models, ...) array).
 
-    The elected sign is positive when the positive entries' sum is at least
-    the negative entries' total magnitude, else negative. The result is the
-    mean of the entries with the elected sign (zeros never count), or 0
-    where none has it.
+    Per parameter position, the elected sign is positive when the positive
+    entries' sum is at least the negative entries' total magnitude, else
+    negative. The result is the elected side's sum / the elected side's
+    count (zeros never count), or 0 where no entry has the elected sign.
+    Both come from per-model running sums and counts taken in model order,
+    so combine memory does not grow with the number of models. Raises
+    ValueError on an empty sequence.
     """
-    pos = np.fmax(stack, 0.0).sum(axis=0)  # fmax/fmin drop NaN
-    neg = np.fmin(stack, 0.0).sum(axis=0)
-    agree = np.where(pos >= -neg, stack > 0, stack < 0)
-    count = agree.sum(axis=0)
-    total = np.where(agree, stack, 0.0).sum(axis=0)
-    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    it = iter(deltas)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("ties_combine needs at least one delta")
+    pos, neg = np.fmax(first, 0.0), np.fmin(first, 0.0)  # fmax/fmin drop NaN
+    npos, nneg = (first > 0).astype(np.intp), (first < 0).astype(np.intp)
+    for d in it:
+        pos += np.fmax(d, 0.0)
+        neg += np.fmin(d, 0.0)
+        npos += d > 0
+        nneg += d < 0
+    # Off the elected side each model adds a signed zero, and x + ±0 == x,
+    # so the elected running sum is the sum of the agreeing entries exactly.
+    up = pos >= -neg
+    count = np.where(up, npos, nneg)
+    return np.where(count > 0, np.where(up, pos, neg) / np.maximum(count, 1), 0.0)
 
 
 def derive_model_ids(paths: Sequence[str]) -> list[str]:
@@ -124,8 +139,9 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
         if not elect:
             merged = linear_combine(base_t[name], deltas, recipe.alphas)
         else:
-            stack = np.stack([float(a) * d for d, a in zip(deltas, recipe.alphas)])
-            merged = base_t[name] + ties_combine(stack)
+            for d, a in zip(deltas, recipe.alphas):
+                d *= float(a)  # each delta is a fresh array from apply_plan
+            merged = base_t[name] + ties_combine(deltas)
         return finalize_checkpoint({name: merged}, base, None)[name]
 
     return exact_checkpoint({name: combine(name) for name in base.names()}, base.dtypes, metadata)

@@ -86,7 +86,8 @@ def random_drop_rescale(
 
     Deterministic for fixed (values, density, seed, name); density 1.0 is
     the exact identity. A density whose rescale 1/density is not finite in
-    the result's dtype (1e-9 in float16 rounds to 0) raises ValueError.
+    the result's dtype (1e-9 in float16 rounds to 0) raises ValueError, and
+    so does a finite kept entry that overflows that dtype when rescaled.
     """
     density = _check_density(density)
     arr = np.asarray(values)
@@ -98,9 +99,15 @@ def random_drop_rescale(
             raise ValueError(f"density {density} has no finite rescale 1/density in {dtype}")
     uniforms = _stream(seed, name).random(arr.size)
     keep = (uniforms < density).reshape(arr.shape)
-    # Dropped entries may overflow when rescaled; np.where discards them.
-    with np.errstate(over="ignore"):
-        return np.where(keep, arr / density, 0.0)
+    # Zero the dropped entries first, so only a kept entry can overflow.
+    out = np.where(keep, arr, dtype.type(0))
+    try:
+        with np.errstate(over="raise"):
+            return np.divide(out, density, out=out)
+    except FloatingPointError:
+        raise ValueError(
+            f"tensor {name!r}: a kept entry overflows {dtype} when rescaled by 1/density {density}"
+        ) from None
 
 
 def apply_plan(

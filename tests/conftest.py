@@ -39,25 +39,39 @@ def random_fixture_checkpoint(rng: np.random.Generator, max_tensors: int = 5) ->
     return Checkpoint(tensors, tags)
 
 
-def reverse_data_region(src, dst) -> None:
-    """Copy safetensors file `src` to `dst` with tensor data stored in reverse name order.
+def relayout(src, dst, header_order, data_order) -> None:
+    """Copy safetensors file `src` to `dst`, listing its header entries in
+    `header_order` and storing the tensor data in `data_order`.
 
-    The header still lists names sorted; only the data offsets change, so
-    `dst` is a valid file that no canonical writer would produce.
+    `header_order` holds every header key (`__metadata__` included, if
+    present) and `data_order` every tensor name. `dst` is a valid file that
+    no canonical writer would produce unless both orders are sorted.
     """
     raw = src.read_bytes()
     header_len = int.from_bytes(raw[:8], "little")
     header = json.loads(raw[8 : 8 + header_len])
     data = raw[8 + header_len :]
-    names = sorted(n for n in header if n != "__metadata__")
     chunks, offset = [], 0
-    for name in reversed(names):
+    for name in data_order:
         begin, end = header[name]["data_offsets"]
         chunks.append(data[begin:end])
         header[name]["data_offsets"] = [offset, offset + end - begin]
         offset += end - begin
-    body = json.dumps(header).encode()
+    body = json.dumps({key: header[key] for key in header_order}).encode()
     dst.write_bytes(len(body).to_bytes(8, "little") + body + b"".join(chunks))
+
+
+def header_keys(path) -> list[str]:
+    """The header keys of a safetensors file, in file order."""
+    raw = path.read_bytes()
+    return list(json.loads(raw[8 : 8 + int.from_bytes(raw[:8], "little")]))
+
+
+def reverse_data_region(src, dst) -> None:
+    """Copy canonical safetensors file `src` to `dst` with tensor data stored in
+    reverse name order; the header still lists names sorted."""
+    keys = header_keys(src)
+    relayout(src, dst, keys, sorted((k for k in keys if k != "__metadata__"), reverse=True))
 
 
 def mismatched_model(base: Checkpoint, kind: str) -> tuple[Checkpoint, type, str]:

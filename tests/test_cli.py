@@ -353,6 +353,10 @@ class TestMalformedDocuments:
              "bounds", _merge_plan_args),
             ({"model_id": "m", "mode": "lewis-minmax", "densities": {"0": True, "1": 0.5}},
              "densities", _merge_plan_args),
+            ({"model_id": "m", "mode": "uniform", "default_density": 0.5, "provenance": 5},
+             "provenance", _merge_plan_args),
+            ({"model_id": "m", "mode": "uniform", "default_density": 0.5, "provenance": {"base_profile": 5}},
+             "provenance", _merge_plan_args),
         ],
         ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
              "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
@@ -362,7 +366,8 @@ class TestMalformedDocuments:
              "recipe-unknown-alpha", "recipe-unknown-plan_ref", "recipe-unknown-sed", "recipe-unknown-naming_scheme",
              "profile-float-num_samples", "profile-bool-num_samples", "profile-bool-norm", "profile-str-norm",
              "profile-str-layer-id", "profile-int-model_id", "profile-unknown-convention", "plan-bool-default",
-             "plan-str-role-override", "plan-bool-bounds", "plan-three-bounds", "plan-bool-density"],
+             "plan-str-role-override", "plan-bool-bounds", "plan-three-bounds", "plan-bool-density",
+             "plan-int-provenance", "plan-int-provenance-digest"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"

@@ -10,6 +10,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lewis
 import lewis.checkpoint
@@ -24,7 +26,7 @@ from lewis import (
 from lewis.errors import RecipeError
 from lewis.pruning import mix_seed
 from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
-from conftest import mismatched_model, reverse_data_region
+from conftest import header_keys, mismatched_model, relayout, reverse_data_region
 
 
 def elect_sign(values: Sequence[float]) -> int:
@@ -114,6 +116,37 @@ class TestAgainstBruteForce:
             column = list(stack[:, i])
             sign = elect_sign(column)
             assert combined[i] == pytest.approx(mean_oracle(column, sign), abs=1e-12)
+
+
+class TestTiesCombine:
+    def test_empty_input_rejected(self):
+        # A recipe needs at least one model, so no merge passes an empty input.
+        with pytest.raises(ValueError, match="at least one delta"):
+            ties_combine(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="at least one delta"):
+            ties_combine([])
+
+    def test_sums_run_in_model_order_for_one_element_rows(self):
+        # In float16, 2048 + 1 rounds back to 2048, so three more 1s add
+        # nothing; a sum widened to float32 would give 2051 -> 2052.
+        rows = np.array([[2048.0], [1.0], [1.0], [1.0]], dtype=np.float16)
+        for deltas in (rows, list(rows), np.repeat(rows, 2, axis=1)):
+            assert np.all(ties_combine(deltas) == 512.0)
+
+    def test_memory_does_not_grow_with_model_count(self):
+        n = 200_000
+
+        def peak(models: int) -> int:
+            deltas = [np.random.default_rng(m).standard_normal(n) for m in range(models)]
+            tracemalloc.start()
+            try:
+                ties_combine(deltas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, eight = peak(2), peak(8)
+        assert eight <= 1.1 * two, f"peak {eight / (8 * n):.1f} vs {two / (8 * n):.1f} x n*8 bytes"
 
 
 def _write_pair(tmp_path, small_arch, delta_scale=0.5, seed=31):
@@ -391,6 +424,40 @@ class TestStreamedMerge:
             recipe = MergeRecipe(
                 base_path=str(d / "base.safetensors"), model_paths=[str(d / "fine.safetensors")],
                 method="dare-ties", plan_refs=0.5, seed=5,
+            )
+            write_checkpoint(merge(recipe), d / "merged.safetensors")
+            outputs.append((d / "merged.safetensors").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), method=st.sampled_from(MERGE_METHODS))
+    def test_any_header_and_data_order_merges_to_same_bytes(self, tmp_path_factory, small_arch, data, method):
+        """Hand-built inputs whose headers list the tensors, and whose data
+        regions store them, in any order merge to the bytes of canonical inputs."""
+        tmp = tmp_path_factory.mktemp("order")
+        base = lewis.random_checkpoint(small_arch, seed=61)
+        rng = np.random.default_rng(62)
+        inputs = {"base": base}
+        for i in range(2):
+            inputs[f"f{i}"] = Checkpoint(
+                {n: base[n] + 0.5 * rng.standard_normal(base[n].shape) for n in base.names()}
+            )
+        (tmp / "x").mkdir()
+        for name, ckpt in inputs.items():
+            canonical = tmp / f"{name}.safetensors"
+            write_checkpoint(ckpt, canonical)
+            keys = header_keys(canonical)
+            relayout(
+                canonical, tmp / "x" / f"{name}.safetensors",
+                data.draw(st.permutations(keys)),
+                data.draw(st.permutations([k for k in keys if k != "__metadata__"])),
+            )
+        outputs = []
+        for d in (tmp, tmp / "x"):
+            recipe = MergeRecipe(
+                base_path=str(d / "base.safetensors"),
+                model_paths=[str(d / "f0.safetensors"), str(d / "f1.safetensors")],
+                method=method, plan_refs=0.5, seed=5,
             )
             write_checkpoint(merge(recipe), d / "merged.safetensors")
             outputs.append((d / "merged.safetensors").read_bytes())

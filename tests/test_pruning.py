@@ -135,6 +135,21 @@ class TestRandomDropRescale:
         with pytest.raises(ValueError):
             random_drop_rescale(np.ones(3), density, 0)
 
+    def test_kept_overflow_raises(self):
+        # 10 / 1e-4 = 1e5 is past float16's largest finite value, 65504.
+        values = np.full(200_000, 10.0, dtype=np.float16)
+        with pytest.raises(ValueError, match="'w'.*overflows float16"):
+            random_drop_rescale(values, 1e-4, 0, "w")
+
+    def test_dropped_overflow_is_discarded(self):
+        density = 0.5
+        keep = random_drop_rescale(np.ones(64), density, 2, "w") != 0
+        assert keep.any() and not keep.all()
+        # Only the dropped entries would overflow when rescaled.
+        values = np.where(keep, 1.0, 60000.0).astype(np.float16)
+        out = random_drop_rescale(values, density, 2, "w")
+        np.testing.assert_array_equal(out, np.where(keep, 2.0, 0.0))
+
 
 def _toy_tv(arch, seed=21):
     base = lewis.random_checkpoint(arch, seed=seed)
