@@ -3,15 +3,11 @@
 Every failure the library raises on purpose derives from MergeError so
 callers (and the CLI) can catch one type. Checkpoint-file problems get
 their own subtree with one class per failure mode; messages always name
-the offending tensor where one exists. `load_document` turns a malformed
-JSON document (arch, profile, plan, recipe) into its own subclass.
+the offending tensor where one exists. Each JSON document type has its own
+class (ArchError, ProfileMismatchError, PlanError, RecipeError): loading a
+malformed document raises it, prefixed with the file's path (see
+documents.py).
 """
-
-from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Any, Callable
 
 
 class MergeError(Exception):
@@ -67,7 +63,7 @@ class RecipeError(MergeError):
 
 
 class ArchError(MergeError):
-    """A checkpoint does not match the architecture it is being run as."""
+    """An arch file is malformed, or a checkpoint does not match the architecture it is run as."""
 
 
 class CalibrationError(MergeError, ValueError):
@@ -76,25 +72,3 @@ class CalibrationError(MergeError, ValueError):
     Also a ValueError, so callers that catch ValueError from
     `CalibrationSet.from_file` keep working.
     """
-
-
-def load_document(path: str | Path, build: Callable[[Any], Any], error: type[MergeError]) -> Any:
-    """Parse the JSON file at `path` and build an object from it with `build`.
-
-    Invalid JSON, a missing field (KeyError) and a field of the wrong name,
-    type or value (AttributeError, TypeError, ValueError) raised while
-    building become `error`, prefixed with the path. A MergeError that
-    `build` raises keeps its class and gains the path prefix if it lacks it.
-    """
-    try:
-        return build(json.loads(Path(path).read_text()))
-    except MergeError as exc:
-        if str(exc).startswith(str(path)):
-            raise
-        raise type(exc)(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from exc
-    except KeyError as exc:
-        raise error(f"{path}: missing required field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise error(f"{path}: {exc}") from exc

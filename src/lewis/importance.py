@@ -24,16 +24,14 @@ token density).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
-from .checkpoint import _write_atomic
-from .errors import PlanError, ProfileMismatchError, load_document
+from .documents import Document
+from .errors import PlanError, ProfileMismatchError
 from .roles import BLOCK_KINDS, TensorRole
 
 PLAN_MODES = ("lewis-literal", "lewis-minmax", "uniform", "topk", "layer-type")
@@ -49,10 +47,9 @@ def _check_density(value: float, what: str = "density", error: type[Exception] =
     """`value` as a float if it is a keep-density in (0, 1], else raise `error` naming `what`."""
     if not _is_real(value):
         raise error(f"{what} must be a number, got {value!r}")
-    value = float(value)
-    if not (0.0 < value <= 1.0) or math.isnan(value):
+    if not 0.0 < value <= 1.0:  # before float(), which overflows on a huge int; NaN fails too
         raise error(f"{what} must lie in (0, 1], got {value}")
-    return value
+    return float(value)
 
 
 def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
@@ -80,7 +77,7 @@ class SparsityBounds:
 
 
 @dataclass
-class ActivationProfile:
+class ActivationProfile(Document, error=ProfileMismatchError):
     """Per-block mean activation norms for one model on one calibration set."""
 
     model_id: str
@@ -103,47 +100,21 @@ class ActivationProfile:
         if ids != list(range(len(ids))):
             raise ProfileMismatchError(f"layer ids must be contiguous 0..L-1, got {ids}")
         for layer, value in self.layer_norms.items():
-            if not _is_real(value) or not math.isfinite(value) or value < 0:
+            if not (_is_real(value) and 0.0 <= value <= sys.float_info.max):  # fails NaN, inf, huge ints
                 raise ProfileMismatchError(
                     f"layer_norms: layer {layer} norm must be a finite number >= 0, got {value!r}"
                 )
             self.layer_norms[layer] = float(value)
 
-    def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "norm_convention": self.norm_convention,
-            "num_samples": self.num_samples,
-            "layer_norms": {str(k): self.layer_norms[k] for k in sorted(self.layer_norms)},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "ActivationProfile":
-        return cls(
-            model_id=doc["model_id"],
-            layer_norms=doc["layer_norms"],
-            num_samples=doc["num_samples"],
-            norm_convention=doc.get("norm_convention", "mean-token-l2"),
-        )
-
-    def save(self, path: str | Path) -> None:
-        _write_atomic(path, [canonical_json(self.to_dict()).encode()])
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ActivationProfile":
-        return load_document(path, cls.from_dict, ProfileMismatchError)
-
-    def digest(self) -> str:
-        return sha256_hex(canonical_json(self.to_dict()))
-
 
 @dataclass
-class SparsityPlan:
+class SparsityPlan(Document, error=PlanError):
     """Per-block keep-densities plus a default for tensors outside blocks.
 
     `role_overrides`, when present, wins over block densities: any tensor
     whose role kind appears there is pruned at that density regardless of
-    its block.
+    its block. `bounds` may be given as a [gamma, epsilon] list, the form
+    it takes in a plan file.
     """
 
     model_id: str
@@ -163,6 +134,10 @@ class SparsityPlan:
             k: _check_density(v, f"densities: density for block {k}", PlanError)
             for k, v in _by_block(self.densities, "densities", PlanError).items()
         }
+        if self.bounds is not None and not isinstance(self.bounds, SparsityBounds):
+            if not (isinstance(self.bounds, list) and len(self.bounds) == 2):
+                raise PlanError(f"bounds must be [gamma, epsilon], got {self.bounds!r}")
+            self.bounds = SparsityBounds(*self.bounds)
         if self.default_density is not None:
             self.default_density = _check_density(self.default_density, "default_density", PlanError)
         if self.role_overrides is not None:
@@ -198,50 +173,6 @@ class SparsityPlan:
                 )
             raise PlanError(f"plan has no default_density for non-block tensor{where}")
         return self.default_density
-
-    def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "mode": self.mode,
-            "bounds": None if self.bounds is None else [self.bounds.gamma, self.bounds.epsilon],
-            "default_density": self.default_density,
-            "densities": {str(k): self.densities[k] for k in sorted(self.densities)},
-            "role_overrides": self.role_overrides,
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "SparsityPlan":
-        bounds = doc.get("bounds")
-        if bounds is not None and not (isinstance(bounds, list) and len(bounds) == 2):
-            raise PlanError(f"bounds must be [gamma, epsilon], got {bounds!r}")
-        return cls(
-            model_id=doc["model_id"],
-            mode=doc["mode"],
-            densities=doc.get("densities", {}),
-            default_density=doc.get("default_density"),
-            bounds=None if bounds is None else SparsityBounds(*bounds),
-            role_overrides=doc.get("role_overrides"),
-            provenance=doc.get("provenance"),
-        )
-
-    def save(self, path: str | Path) -> None:
-        _write_atomic(path, [canonical_json(self.to_dict()).encode()])
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SparsityPlan":
-        return load_document(path, cls.from_dict, PlanError)
-
-    def digest(self) -> str:
-        return sha256_hex(canonical_json(self.to_dict()))
-
-
-def canonical_json(doc: object) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------- #

@@ -27,21 +27,22 @@ can never be compared silently.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
 from .checkpoint import Checkpoint, _write_atomic
-from .errors import ArchError, CalibrationError, load_document
+from .documents import Document
+from .errors import ArchError, CalibrationError
 from .importance import NORM_CONVENTIONS, ActivationProfile
 
 _RMS_EPS = 1e-6
 
 
 @dataclass(frozen=True)
-class ArchConfig:
+class ArchConfig(Document, error=ArchError):
     """Shape of the toy decoder; vocab defaults to byte-level 256."""
 
     vocab_size: int = 256
@@ -64,13 +65,6 @@ class ArchConfig:
             raise ArchError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ArchConfig":
-        return load_document(path, lambda doc: cls(**doc), ArchError)
-
-    def save(self, path: str | Path) -> None:
-        _write_atomic(path, [json.dumps(asdict(self), indent=1, sort_keys=True).encode()])
 
 
 def tensor_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
@@ -119,10 +113,6 @@ def tokenize(text: str | bytes, max_seq_len: int | None = None) -> list[int]:
     return list(data)
 
 
-def detokenize(tokens: list[int]) -> bytes:
-    return bytes(tokens)
-
-
 @dataclass
 class CalibrationSet:
     """Token-id sequences the models are profiled on."""
@@ -162,7 +152,7 @@ class CalibrationSet:
             where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
                 raise CalibrationError(f"{where}: not valid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CalibrationError(f"{where}: record must be an object, got {type(record).__name__}")
@@ -301,14 +291,16 @@ def profile_model(
     model_id: str = "",
 ) -> ActivationProfile:
     """Mean activation norm per block over the calibration samples."""
-    totals = np.zeros(arch.num_blocks)
+    # Sized by the forward pass, not arch.num_blocks: a checkpoint that lacks
+    # a block fails there before a huge num_blocks could allocate anything.
+    totals = 0.0
     for sample in calib.samples:
-        for layer, block_output in enumerate(forward_capture(ckpt, arch, sample)):
-            totals[layer] += activation_norm(block_output, convention)
+        block_norms = [activation_norm(h, convention) for h in forward_capture(ckpt, arch, sample)]
+        totals = totals + np.array(block_norms)
     norms = totals / len(calib.samples)
     return ActivationProfile(
         model_id=model_id,
-        layer_norms={layer: float(norms[layer]) for layer in range(arch.num_blocks)},
+        layer_norms={layer: float(norm) for layer, norm in enumerate(norms)},
         num_samples=len(calib.samples),
         norm_convention=convention,
     )

@@ -8,17 +8,17 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, _write_atomic
-from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError, load_document
+from .checkpoint import Checkpoint
+from .documents import Document
+from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError
 from .importance import _check_density, _is_real
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
@@ -130,7 +130,7 @@ def _is_str_list(value: object) -> bool:
 
 
 @dataclass
-class MergeRecipe:
+class MergeRecipe(Document, error=RecipeError):
     """Everything a merge run needs: inputs, weights, method, plans, seed.
 
     `plan_refs` is either a list of sparsity-plan paths (one per model) or
@@ -146,6 +146,8 @@ class MergeRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.base_path, str):  # open() would take an int as a file descriptor
+            raise RecipeError(f"base_path must be a path, got {self.base_path!r}")
         if not _is_str_list(self.model_paths):
             raise RecipeError(f"model_paths must be a list of paths, got {self.model_paths!r}")
         if not self.model_paths:
@@ -180,34 +182,10 @@ class MergeRecipe:
 
     @classmethod
     def load(cls, path: str | Path) -> "MergeRecipe":
+        recipe = super().load(path)
         root = Path(path).parent  # an absolute path joined onto root stays as it is
-
-        def rooted(paths):  # anything but a list of paths is left for __post_init__ to reject
-            return [str(root / p) for p in paths] if _is_str_list(paths) else paths
-
-        def build(doc: dict) -> "MergeRecipe":
-            known = [f.name for f in fields(cls)]
-            unknown = sorted(doc.keys() - set(known))
-            if unknown:
-                raise RecipeError(f"unknown fields {unknown}; known: {known}")
-            return cls(
-                base_path=str(root / doc["base_path"]),
-                model_paths=rooted(doc["model_paths"]),
-                alphas=doc.get("alphas", []),
-                method=doc.get("method", "ties"),
-                plan_refs=rooted(doc.get("plan_refs")),
-                seed=doc.get("seed", 0),
-            )
-
-        return load_document(path, build, RecipeError)
-
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "base_path": self.base_path,
-            "model_paths": self.model_paths,
-            "alphas": self.alphas,
-            "method": self.method,
-            "plan_refs": self.plan_refs,
-            "seed": self.seed,
-        }
-        _write_atomic(path, [json.dumps(doc, indent=1, sort_keys=True).encode()])
+        recipe.base_path = str(root / recipe.base_path)
+        recipe.model_paths = [str(root / p) for p in recipe.model_paths]
+        if isinstance(recipe.plan_refs, list):
+            recipe.plan_refs = [str(root / p) for p in recipe.plan_refs]
+        return recipe

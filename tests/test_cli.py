@@ -357,6 +357,13 @@ class TestMalformedDocuments:
              "provenance", _merge_plan_args),
             ({"model_id": "m", "mode": "uniform", "default_density": 0.5, "provenance": {"base_profile": 5}},
              "provenance", _merge_plan_args),
+            ({"model_id": "m", "layer_norms": {"0": 10**400}, "num_samples": 1}, "layer_norms", _plan_args),
+            ({"model_id": "m", "mode": "uniform", "default_density": 10**400}, "default_density", _merge_plan_args),
+            ({"model_id": "m", "layer_norms": {"0": 1.0}, "num_samples": 1, "norm_conventon": "frobenius"},
+             "unknown fields ['norm_conventon']", _plan_args),
+            ({"model_id": "m", "mode": "lewis-minmax", "default_density": 0.5, "densites": {"0": 0.9}},
+             "unknown fields ['densites']", _merge_plan_args),
+            ({"hidden_dm": 8}, "unknown fields ['hidden_dm']", _capture_args),
         ],
         ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
              "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
@@ -367,7 +374,9 @@ class TestMalformedDocuments:
              "profile-float-num_samples", "profile-bool-num_samples", "profile-bool-norm", "profile-str-norm",
              "profile-str-layer-id", "profile-int-model_id", "profile-unknown-convention", "plan-bool-default",
              "plan-str-role-override", "plan-bool-bounds", "plan-three-bounds", "plan-bool-density",
-             "plan-int-provenance", "plan-int-provenance-digest"],
+             "plan-int-provenance", "plan-int-provenance-digest", "profile-huge-int-norm",
+             "plan-huge-int-default", "profile-unknown-norm_conventon", "plan-unknown-densites",
+             "arch-unknown-hidden_dm"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"
@@ -387,6 +396,16 @@ class TestMalformedDocuments:
         assert err.startswith(f"error: {path}: ")
         assert "default_density" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [_capture_args, _plan_args, _merge_plan_args, _merge_recipe_args],
+                             ids=["arch", "profile", "plan", "recipe"])
+    def test_deep_nesting_is_named_error(self, workspace, capsys, args):
+        path = workspace / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(args(workspace, path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "content, where",
         [
@@ -400,9 +419,10 @@ class TestMalformedDocuments:
             (b'{"prompt": "nope"}\n', "line 1: record has neither 'text' nor 'tokens'"),
             (b'\n\n', "no calibration records"),
             (b'{"text": "\xff\xfe"}\n', "not UTF-8 text"),
+            (b'{"text": "ok"}\n' + b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 2: not valid JSON"),
         ],
         ids=["tokens-int", "tokens-bool", "tokens-float", "tokens-oov", "text-int", "not-json", "not-object",
-             "no-field", "empty-file", "not-utf8"],
+             "no-field", "empty-file", "not-utf8", "deep-nesting"],
     )
     def test_malformed_calibration(self, workspace, capsys, content, where):
         path = workspace / "bad.jsonl"

@@ -1,5 +1,6 @@
 """Importance scoring, normalization rules, and all plan modes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -263,6 +264,31 @@ class TestPlanAndProfileFiles:
         profile.save(tmp_path / "p.json")
         loaded = ActivationProfile.load(tmp_path / "p.json")
         assert loaded == profile
+
+    def test_digests_match_pinned_values(self):
+        """Digests reach merged metadata and plan provenance, so they must not drift.
+
+        Twelve blocks put block 10 between blocks 1 and 2 in the canonical
+        (string-sorted) key order.
+        """
+        base = ActivationProfile("base", {i: 1.0 + 0.1 * i for i in range(12)}, 24)
+        fine = ActivationProfile("ft0", {i: 1.0 + 0.1 * i + 0.01 * ((7 * i) % 12) for i in range(12)}, 24)
+        plan = build_plan_lewis(fine, base, SparsityBounds(0.5, 0.8), "minmax")
+        assert base.digest() == "8fc6c61dfd61106446119c0ed1b2389c41bac96e8e3c9f7854265274abd08925"
+        assert fine.digest() == "9f1a8cc9231e8fd0f319184d4d855282cc47c3e8b129f860895d3144361a8683"
+        assert plan.digest() == "07c0ddfa2db85e5249d9636fd13e1e86c4952068780ad23a451a24ed2a9cf314"
+        assert build_plan_layer_type("V").digest() == (
+            "6c928a8dd218e2df882c114dfb7208e05790bd45dff14092240ed543d7562b2b"
+        )
+
+    def test_digest_is_sha256_of_saved_file(self, tmp_path):
+        plan = build_plan_lewis(
+            _profile([2.0, 4.0]), _profile([1.0, 1.0], "base"), SparsityBounds(0.5, 0.8), "minmax"
+        )
+        recipe = lewis.MergeRecipe(base_path="b", model_paths=["m"])
+        for doc in (plan, _profile([1.5, 0.25]), lewis.ArchConfig(), recipe):
+            doc.save(tmp_path / "doc.json")
+            assert hashlib.sha256((tmp_path / "doc.json").read_bytes()).hexdigest() == doc.digest()
 
     def test_plans_deterministic(self):
         a = build_plan_lewis(

@@ -149,6 +149,11 @@ class TestMergeRecipe:
         with pytest.raises(RecipeError):
             MergeRecipe(base_path="b", model_paths=["m"], plan_refs=0.0)
 
+    @pytest.mark.parametrize("base_path", [5, None, ["b"]], ids=["int", "null", "list"])
+    def test_rejects_non_str_base_path(self, base_path):
+        with pytest.raises(RecipeError, match="base_path"):
+            MergeRecipe(base_path=base_path, model_paths=["m"])
+
     def test_file_round_trip_resolves_relative_paths(self, tmp_path):
         recipe = MergeRecipe(
             base_path="base.safetensors",
