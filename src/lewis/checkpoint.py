@@ -47,6 +47,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    CheckpointError,
     DataOffsetError,
     HeaderLengthError,
     HeaderParseError,
@@ -129,7 +130,9 @@ class Checkpoint:
         for name in sorted(tensors):
             arr = np.asarray(tensors[name], dtype=np.float64)
             _validate_shape(name, arr.shape)
-            dtype = dtypes if isinstance(dtypes, str) else dtypes.get(name, "F32")
+            dtype = dtypes if isinstance(dtypes, str) else dtypes.get(name)
+            if dtype is None:
+                raise CheckpointError(f"tensor {name!r} has no entry in dtypes")
             if dtype not in DTYPES:
                 raise UnknownDtypeError(f"tensor {name!r} has unsupported dtype {dtype!r}")
             self.tensors[name] = _widen(_narrow(arr, dtype))  # snap to the stored dtype

@@ -20,6 +20,8 @@ from . import __version__
 from .checkpoint import read_checkpoint as load_checkpoint, write_checkpoint as save_checkpoint
 from .errors import MergeError
 from .importance import (
+    NORM_CONVENTIONS,
+    PLAN_MODES,
     ActivationProfile,
     SparsityBounds,
     build_plan_layer_type,
@@ -173,16 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, help="architecture config JSON")
     p.add_argument("--calib", required=True, help="calibration JSONL file")
     p.add_argument("--out", required=True, help="profile output path")
-    p.add_argument("--convention", default="mean-token-l2", choices=["mean-token-l2", "frobenius"])
+    p.add_argument("--convention", default="mean-token-l2", choices=NORM_CONVENTIONS)
     p.add_argument("--model-id", default=None)
     p.set_defaults(func=_cmd_capture)
 
     p = sub.add_parser("plan", help="build a sparsity plan")
-    p.add_argument(
-        "--mode",
-        required=True,
-        choices=["lewis-literal", "lewis-minmax", "uniform", "topk", "layer-type"],
-    )
+    p.add_argument("--mode", required=True, choices=PLAN_MODES)
     p.add_argument("--out", required=True)
     p.add_argument("--profile", help="fine-tuned model profile (lewis/topk modes)")
     p.add_argument("--base-profile", help="base model profile (lewis/topk modes)")

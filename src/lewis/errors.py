@@ -67,8 +67,8 @@ class ArchError(MergeError):
 
 
 class CalibrationError(MergeError, ValueError):
-    """A calibration JSONL file is empty or holds a malformed record.
+    """A calibration set or file is empty, or holds a malformed record or a too-short sample.
 
     Also a ValueError, so callers that catch ValueError from
-    `CalibrationSet.from_file` keep working.
+    `CalibrationSet` keep working.
     """

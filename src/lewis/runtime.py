@@ -61,28 +61,29 @@ class ArchConfig(Document, error=ArchError):
                 raise ArchError(f"{name} must be an int, got {value!r}")
             if value <= 0:
                 raise ArchError(f"{name} must be positive, got {value}")
+        if self.naming_scheme != "toy":  # the runtime reads toy tensor names only
+            raise ArchError(f"naming_scheme must be 'toy', got {self.naming_scheme!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ArchError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
 
 
+def _block_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
+    """One block's weights in forward order: `blocks.{i}.<part>.weight` -> shape."""
+    d, m = arch.hidden_dim, arch.mlp_dim
+    return {
+        "attn_norm": (d,), "attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "attn.wo": (d, d),
+        "mlp_norm": (d,), "mlp.up": (m, d), "mlp.down": (d, m),
+    }
+
+
 def tensor_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     """Expected tensor names and shapes for a checkpoint of this architecture."""
-    d, v, m = arch.hidden_dim, arch.vocab_size, arch.mlp_dim
-    shapes: dict[str, tuple[int, ...]] = {"embed.weight": (v, d)}
-    for i in range(arch.num_blocks):
-        shapes[f"blocks.{i}.attn_norm.weight"] = (d,)
-        shapes[f"blocks.{i}.attn.wq.weight"] = (d, d)
-        shapes[f"blocks.{i}.attn.wk.weight"] = (d, d)
-        shapes[f"blocks.{i}.attn.wv.weight"] = (d, d)
-        shapes[f"blocks.{i}.attn.wo.weight"] = (d, d)
-        shapes[f"blocks.{i}.mlp_norm.weight"] = (d,)
-        shapes[f"blocks.{i}.mlp.up.weight"] = (m, d)
-        shapes[f"blocks.{i}.mlp.down.weight"] = (d, m)
-    shapes["final_norm.weight"] = (d,)
-    shapes["head.weight"] = (v, d)
-    return shapes
+    d, v = arch.hidden_dim, arch.vocab_size
+    block = _block_shapes(arch)
+    blocks = {f"blocks.{i}.{part}.weight": shape for i in range(arch.num_blocks) for part, shape in block.items()}
+    return {"embed.weight": (v, d), **blocks, "final_norm.weight": (d,), "head.weight": (v, d)}
 
 
 def zero_checkpoint(arch: ArchConfig) -> Checkpoint:
@@ -118,14 +119,14 @@ class CalibrationSet:
     """Token-id sequences the models are profiled on."""
 
     samples: list[list[int]]
-    source: str = ""
+    source: str = "calibration set"  # named in errors; from_file sets it to the path
 
     def __post_init__(self):
         if len(self.samples) == 0:
-            raise ValueError("calibration set must contain at least one sample")
-        for i, sample in enumerate(self.samples):
+            raise CalibrationError(f"{self.source}: no samples")
+        for i, sample in enumerate(self.samples, start=1):
             if len(sample) == 0:
-                raise ValueError(f"calibration sample {i} is empty")
+                raise CalibrationError(f"{self.source}: sample {i} is empty")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -226,15 +227,17 @@ def _check_tokens(arch: ArchConfig, tokens: list[int]) -> np.ndarray:
 
 
 def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
+    attn_norm, wq, wk, wv, wo, mlp_norm, up, down = (
+        _get_weight(ckpt, f"blocks.{i}.{part}.weight", shape) for part, shape in _block_shapes(arch).items()
+    )
     d = arch.hidden_dim
     dh = d // arch.num_heads
     T = h.shape[0]
-    shapes = {"norm": (d,), "proj": (d, d)}
 
-    x = _rms_norm(h, _get_weight(ckpt, f"blocks.{i}.attn_norm.weight", shapes["norm"]))
-    q = x @ _get_weight(ckpt, f"blocks.{i}.attn.wq.weight", shapes["proj"]).T
-    k = x @ _get_weight(ckpt, f"blocks.{i}.attn.wk.weight", shapes["proj"]).T
-    v = x @ _get_weight(ckpt, f"blocks.{i}.attn.wv.weight", shapes["proj"]).T
+    x = _rms_norm(h, attn_norm)
+    q = x @ wq.T
+    k = x @ wk.T
+    v = x @ wv.T
     # Per-head views, no copies: q and v as (heads, T, dh), k as (heads, dh, T).
     q = q.reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
     k = k.reshape(T, arch.num_heads, dh).transpose(1, 2, 0)
@@ -243,11 +246,10 @@ def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) ->
     causal = np.tril(np.ones((T, T), dtype=bool))
     scores = np.where(causal[None, :, :], scores, -np.inf)
     attn = (_softmax(scores) @ v).transpose(1, 0, 2).reshape(T, d)
-    h = h + attn @ _get_weight(ckpt, f"blocks.{i}.attn.wo.weight", shapes["proj"]).T
+    h = h + attn @ wo.T
 
-    x = _rms_norm(h, _get_weight(ckpt, f"blocks.{i}.mlp_norm.weight", shapes["norm"]))
-    up = _gelu(x @ _get_weight(ckpt, f"blocks.{i}.mlp.up.weight", (arch.mlp_dim, d)).T)
-    h = h + up @ _get_weight(ckpt, f"blocks.{i}.mlp.down.weight", (d, arch.mlp_dim)).T
+    x = _rms_norm(h, mlp_norm)
+    h = h + _gelu(x @ up.T) @ down.T
     return h
 
 
@@ -310,9 +312,9 @@ def eval_loss(ckpt: Checkpoint, arch: ArchConfig, calib: CalibrationSet) -> floa
     """Mean next-token cross-entropy over all positions of all samples."""
     total = 0.0
     count = 0
-    for i, sample in enumerate(calib.samples):
+    for i, sample in enumerate(calib.samples, start=1):
         if len(sample) < 2:
-            raise ValueError(f"calibration sample {i} has {len(sample)} tokens, need >= 2")
+            raise CalibrationError(f"{calib.source}: sample {i} has {len(sample)} tokens, need >= 2")
         logits = forward_logits(ckpt, arch, sample)[:-1]
         targets = np.asarray(sample[1:], dtype=np.int64)
         shifted = logits - logits.max(axis=-1, keepdims=True)

@@ -37,33 +37,31 @@ class TaskVector:
     def names(self) -> list[str]:
         return list(self.deltas)
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: delta.shape for name, delta in self.deltas.items()}
+
     def __getitem__(self, name: str) -> np.ndarray:
         return self.deltas[name]
 
 
-def _require_same_keys(left_names, right_names, what: str) -> None:
-    left, right = set(left_names), set(right_names)
-    missing, extra = sorted(left - right), sorted(right - left)
-    if missing or extra:
-        raise KeysetMismatchError(
-            f"{what}: tensors only in first: {missing}; only in second: {extra}"
-        )
-
-
-def check_task_vector_inputs(base, finetuned, model_id: str) -> None:
-    """Raise unless `finetuned` has `base`'s tensor names and shapes.
+def check_task_vector_inputs(base, other, model_id: str) -> None:
+    """Raise unless `other` (a fine-tuned model or a task vector) has `base`'s
+    tensor names and shapes; the error names `model_id`, the tensors and both shapes.
 
     Uses only names() and shapes(), so on opened checkpoint files it reads
     no tensor data.
     """
     what = f"task vector for {model_id!r}"
-    _require_same_keys(base.names(), finetuned.names(), what)
-    fine_shapes = finetuned.shapes()
+    base_names, other_names = set(base.names()), set(other.names())
+    missing, extra = sorted(base_names - other_names), sorted(other_names - base_names)
+    if missing or extra:
+        raise KeysetMismatchError(f"{what}: tensors only in base: {missing}; only in {model_id!r}: {extra}")
+    other_shapes = other.shapes()
     for name, shape in base.shapes().items():
-        if shape != fine_shapes[name]:
+        if shape != other_shapes[name]:
             raise ShapeMismatchError(
                 f"{what}: tensor {name!r}: base shape {list(shape)} "
-                f"vs fine-tuned shape {list(fine_shapes[name])}"
+                f"vs {model_id!r} shape {list(other_shapes[name])}"
             )
 
 
@@ -84,13 +82,7 @@ def assemble_merged(
     if len(pruned_deltas) != len(alphas):
         raise RecipeError(f"{len(pruned_deltas)} task vectors but {len(alphas)} alphas")
     for tv in pruned_deltas:
-        _require_same_keys(base.names(), tv.names(), f"merge with {tv.source_model_id!r}")
-        for name in base.names():
-            if tv[name].shape != base[name].shape:
-                raise ShapeMismatchError(
-                    f"tensor {name!r}: base shape {list(base[name].shape)} "
-                    f"vs delta shape {list(tv[name].shape)}"
-                )
+        check_task_vector_inputs(base, tv, tv.source_model_id)
     merged = {
         name: linear_combine(base[name], [tv[name] for tv in pruned_deltas], alphas)
         for name in base.names()

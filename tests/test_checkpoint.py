@@ -356,6 +356,11 @@ class TestFormatErrors:
         with pytest.raises(InvalidTensorError):
             Checkpoint({"w": np.zeros((0, 3))})
 
+    def test_dtype_map_without_entry_names_tensor(self):
+        with pytest.raises(CheckpointError, match="'b'") as info:
+            Checkpoint({"a": np.ones(2), "b": np.ones(2)}, {"a": "BF16"})
+        assert not isinstance(info.value, KeyError)
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_checkpoint(Checkpoint({"w": np.ones(2)}), tmp_path)  # a directory

@@ -364,6 +364,8 @@ class TestMalformedDocuments:
             ({"model_id": "m", "mode": "lewis-minmax", "default_density": 0.5, "densites": {"0": 0.9}},
              "unknown fields ['densites']", _merge_plan_args),
             ({"hidden_dm": 8}, "unknown fields ['hidden_dm']", _capture_args),
+            ({"naming_scheme": 5}, "naming_scheme must be 'toy', got 5", _capture_args),
+            ({"naming_scheme": "llama-style"}, "naming_scheme must be 'toy', got 'llama-style'", _capture_args),
         ],
         ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
              "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
@@ -376,7 +378,7 @@ class TestMalformedDocuments:
              "plan-str-role-override", "plan-bool-bounds", "plan-three-bounds", "plan-bool-density",
              "plan-int-provenance", "plan-int-provenance-digest", "profile-huge-int-norm",
              "plan-huge-int-default", "profile-unknown-norm_conventon", "plan-unknown-densites",
-             "arch-unknown-hidden_dm"],
+             "arch-unknown-hidden_dm", "arch-int-naming_scheme", "arch-llama-naming_scheme"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"
@@ -549,6 +551,15 @@ class TestInspectAndEval:
         printed = capsys.readouterr().out
         value = float(printed.split("mean cross-entropy:")[1].split()[0])
         assert value == pytest.approx(math.log(256), abs=1e-3)
+
+    def test_eval_one_token_sample_names_calib_file(self, workspace, small_arch, capsys):
+        arch = workspace / "arch1.json"
+        lewis.ArchConfig(**{**vars(small_arch), "max_seq_len": 1}).save(arch)
+        calib = workspace / "calib.jsonl"
+        code = run(["eval", "--ckpt", workspace / "base.safetensors", "--arch", arch, "--calib", calib])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {calib}: sample 1 has 1 tokens, need >= 2\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

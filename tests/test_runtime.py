@@ -329,6 +329,11 @@ class TestEvalLoss:
         with pytest.raises(ValueError, match=">= 2"):
             eval_loss(zero_checkpoint(small_arch), small_arch, calib)
 
+    def test_short_sequence_names_source_and_sample(self, small_arch):
+        calib = CalibrationSet(samples=[[1, 2], [3]], source="calib.jsonl")
+        with pytest.raises(CalibrationError, match=r"^calib\.jsonl: sample 2 has 1 tokens, need >= 2$"):
+            eval_loss(zero_checkpoint(small_arch), small_arch, calib)
+
     def test_overfit_model_beats_random(self):
         """A hand-built per-token lookup model wins on its own sequence."""
         arch = ArchConfig(
@@ -391,6 +396,15 @@ class TestCalibrationFiles:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             CalibrationSet(samples=[])
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [([], "unit: no samples"), ([[1], []], "unit: sample 2 is empty")],
+        ids=["no-samples", "empty-sample"],
+    )
+    def test_empty_set_or_sample_is_calibration_error(self, samples, message):
+        with pytest.raises(CalibrationError, match=f"^{message}$"):
+            CalibrationSet(samples=samples, source="unit")
 
 
 class TestArchConfig:

@@ -117,6 +117,20 @@ class TestAssembleMerged:
         with pytest.raises(ShapeMismatchError, match=r"\[3\].*\[1\]"):
             assemble_merged(base, [tv], [1.0])
 
+    @pytest.mark.parametrize(
+        "deltas, error, match",
+        [
+            ({"w": np.ones(3), "x": np.ones(2)}, KeysetMismatchError, r"'m'.*\['x'\]"),
+            ({"w": np.ones((3, 1))}, ShapeMismatchError, r"'m'.*'w'.*\[3\].*\[3, 1\]"),
+        ],
+        ids=["keyset", "shape"],
+    )
+    def test_mismatch_names_model_tensor_and_shapes(self, deltas, error, match):
+        base = Checkpoint({"w": np.ones(3)})
+        tv = TaskVector(deltas=deltas, source_model_id="m")
+        with pytest.raises(error, match=match):
+            assemble_merged(base, [tv], [1.0])
+
     def test_metadata_attached(self):
         base = Checkpoint({"w": np.ones(2)})
         tv = compute_task_vector(base, base, "m")
