@@ -33,7 +33,7 @@ from .importance import (
 from .merge_methods import derive_model_ids, merge, resolve_plans
 from .pruning import effective_mean_density
 from .roles import BLOCK_KINDS, detect_naming_scheme, role_classifier
-from .runtime import ArchConfig, CalibrationSet, eval_loss, profile_model
+from .runtime import ArchConfig, CalibrationSet, check_checkpoint, eval_loss, profile_model
 from .task_vectors import MERGE_METHODS, MergeRecipe
 
 
@@ -49,6 +49,7 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 def _cmd_capture(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
     ckpt = load_checkpoint(args.model, finite=True)
+    check_checkpoint(ckpt, arch, args.model, output_layers=False)
     calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
     model_id = args.model_id or derive_model_ids([args.model])[0]
     profile = profile_model(ckpt, arch, calib, convention=args.convention, model_id=model_id)
@@ -156,6 +157,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
     ckpt = load_checkpoint(args.ckpt, finite=True)
+    check_checkpoint(ckpt, arch, args.ckpt)
     calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
     loss = eval_loss(ckpt, arch, calib)
     print(f"mean cross-entropy: {loss:.6f}  ({len(calib)} samples)")

@@ -22,11 +22,21 @@ Activation capture returns, per block, the post-residual block output as a
 (tokens, hidden) matrix; profiles reduce those to one scalar per block
 under a recorded norm convention so profiles from different conventions
 can never be compared silently.
+
+`profile_model` and `eval_loss` check every sample first, then run one
+sample's forward per worker thread on the cores BLAS leaves idle (numpy's
+matmuls and elementwise loops release the GIL). Each worker returns that
+sample's block norms or summed loss, and the calling thread adds them up
+in sample order, exactly as a one-worker loop would, so results do not
+depend on the worker count or on which worker finishes first.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +49,7 @@ from .errors import ArchError, CalibrationError
 from .importance import NORM_CONVENTIONS, ActivationProfile
 
 _RMS_EPS = 1e-6
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -78,12 +89,37 @@ def _block_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _tensor_layout(arch: ArchConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Tensor names and shapes in forward order, lazily: a huge num_blocks costs nothing until walked."""
+    d, v = arch.hidden_dim, arch.vocab_size
+    yield "embed.weight", (v, d)
+    block = _block_shapes(arch)
+    for i in range(arch.num_blocks):
+        for part, shape in block.items():
+            yield f"blocks.{i}.{part}.weight", shape
+    yield "final_norm.weight", (d,)
+    yield "head.weight", (v, d)
+
+
 def tensor_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     """Expected tensor names and shapes for a checkpoint of this architecture."""
-    d, v = arch.hidden_dim, arch.vocab_size
-    block = _block_shapes(arch)
-    blocks = {f"blocks.{i}.{part}.weight": shape for i in range(arch.num_blocks) for part, shape in block.items()}
-    return {"embed.weight": (v, d), **blocks, "final_norm.weight": (d,), "head.weight": (v, d)}
+    return dict(_tensor_layout(arch))
+
+
+def check_checkpoint(ckpt: Checkpoint, arch: ArchConfig, source: str, output_layers: bool = True) -> None:
+    """Raise ArchError naming `source` unless `ckpt` holds each tensor the forward reads, at its shape.
+
+    `output_layers=False` skips `final_norm` and `head`, which activation
+    capture does not read. The first mismatch in forward order is named.
+    """
+    shapes = ckpt.shapes()
+    for name, shape in _tensor_layout(arch):
+        if not output_layers and name in ("final_norm.weight", "head.weight"):
+            continue
+        if name not in shapes:
+            raise ArchError(f"{source}: missing tensor {name!r}, expected shape {list(shape)}")
+        if shapes[name] != shape:
+            raise ArchError(f"{source}: tensor {name!r} has shape {list(shapes[name])}, expected {list(shape)}")
 
 
 def zero_checkpoint(arch: ArchConfig) -> Checkpoint:
@@ -285,6 +321,47 @@ def activation_norm(block_output: np.ndarray, convention: str = "mean-token-l2")
     raise ValueError(f"unknown norm convention {convention!r}; known: {list(NORM_CONVENTIONS)}")
 
 
+def _check_samples(arch: ArchConfig, calib: CalibrationSet, min_tokens: int = 1) -> None:
+    """Raise CalibrationError naming the source and the first sample the forward cannot take."""
+    for i, sample in enumerate(calib.samples, start=1):
+        where = f"{calib.source}: sample {i}"
+        if len(sample) == 0:
+            raise CalibrationError(f"{where} is empty")
+        if len(sample) < min_tokens:
+            raise CalibrationError(f"{where} has {len(sample)} tokens, need >= {min_tokens}")
+        if len(sample) > arch.max_seq_len:
+            raise CalibrationError(f"{where} has {len(sample)} tokens, exceeds max_seq_len {arch.max_seq_len}")
+        if not all(0 <= t < arch.vocab_size for t in sample):
+            raise CalibrationError(f"{where}: token ids must lie in [0, {arch.vocab_size})")
+
+
+def _forward_workers(num_samples: int) -> int:
+    """Worker threads for a calibration pass: the cores BLAS leaves idle, at most one per sample.
+
+    BLAS uses the largest valid positive value among the BLAS thread
+    variables; with none set it takes every core, so one worker runs.
+    """
+    blas = 0
+    for var in _BLAS_THREAD_VARS:
+        try:
+            blas = max(blas, int(os.environ.get(var, "")))
+        except ValueError:  # unset or malformed
+            pass
+    if blas < 1:
+        return 1
+    return max(1, min(num_samples, len(os.sched_getaffinity(0)) // blas))
+
+
+def _map_samples(fn: Callable[[list[int]], object], samples: list[list[int]]) -> list:
+    """`[fn(s) for s in samples]`, in sample order, with one sample per worker thread."""
+    with ThreadPoolExecutor(_forward_workers(len(samples))) as pool:
+        try:
+            return list(pool.map(fn, samples))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # start no further sample once one has failed
+            raise
+
+
 def profile_model(
     ckpt: Checkpoint,
     arch: ArchConfig,
@@ -293,12 +370,16 @@ def profile_model(
     model_id: str = "",
 ) -> ActivationProfile:
     """Mean activation norm per block over the calibration samples."""
+    _check_samples(arch, calib)
+
+    def block_norms(sample: list[int]) -> np.ndarray:
+        return np.array([activation_norm(h, convention) for h in forward_capture(ckpt, arch, sample)])
+
     # Sized by the forward pass, not arch.num_blocks: a checkpoint that lacks
     # a block fails there before a huge num_blocks could allocate anything.
     totals = 0.0
-    for sample in calib.samples:
-        block_norms = [activation_norm(h, convention) for h in forward_capture(ckpt, arch, sample)]
-        totals = totals + np.array(block_norms)
+    for norms in _map_samples(block_norms, calib.samples):
+        totals = totals + norms
     norms = totals / len(calib.samples)
     return ActivationProfile(
         model_id=model_id,
@@ -310,16 +391,17 @@ def profile_model(
 
 def eval_loss(ckpt: Checkpoint, arch: ArchConfig, calib: CalibrationSet) -> float:
     """Mean next-token cross-entropy over all positions of all samples."""
-    total = 0.0
-    count = 0
-    for i, sample in enumerate(calib.samples, start=1):
-        if len(sample) < 2:
-            raise CalibrationError(f"{calib.source}: sample {i} has {len(sample)} tokens, need >= 2")
+    _check_samples(arch, calib, min_tokens=2)
+
+    def summed_nll(sample: list[int]) -> float:
         logits = forward_logits(ckpt, arch, sample)[:-1]
         targets = np.asarray(sample[1:], dtype=np.int64)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=-1))
         nll = log_z - shifted[np.arange(targets.size), targets]
-        total += float(nll.sum())
-        count += targets.size
-    return total / count
+        return float(nll.sum())
+
+    total = 0.0
+    for nll in _map_samples(summed_nll, calib.samples):  # a plain loop: sum() may reorder rounding
+        total += nll
+    return total / sum(len(sample) - 1 for sample in calib.samples)

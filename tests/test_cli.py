@@ -505,6 +505,52 @@ class TestNonFiniteWeights:
         assert "blocks.1.attn.wq.weight" in capsys.readouterr().out
 
 
+class TestCheckpointLayout:
+    """capture and eval check the checkpoint against the arch before any forward."""
+
+    def _run(self, ws, command, path):
+        common = ["--arch", ws / "arch.json", "--calib", ws / "calib.jsonl"]
+        if command == "capture":
+            return run(["capture", "--model", path, *common, "--out", ws / "p.json"])
+        return run(["eval", "--ckpt", path, *common])
+
+    def _write(self, ws, name, tensors):
+        path = ws / name
+        lewis.write_checkpoint(lewis.Checkpoint(tensors), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["capture", "eval"])
+    def test_missing_tensor_names_file_tensor_and_shape(self, workspace, capsys, command):
+        base = lewis.read_checkpoint(workspace / "base.safetensors")
+        tensors = {n: base[n] for n in base.names() if n != "blocks.1.mlp.up.weight"}
+        path = self._write(workspace, "lacks.safetensors", tensors)
+        assert self._run(workspace, command, path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: missing tensor 'blocks.1.mlp.up.weight', expected shape [16, 8]\n"
+        assert captured.out == ""
+        assert not (workspace / "p.json").exists()
+
+    @pytest.mark.parametrize("command", ["capture", "eval"])
+    def test_wrong_shape_names_file_tensor_and_both_shapes(self, workspace, capsys, command):
+        base = lewis.read_checkpoint(workspace / "base.safetensors")
+        tensors = {n: base[n] for n in base.names()}
+        tensors["blocks.0.attn.wk.weight"] = np.zeros((8, 4))
+        path = self._write(workspace, "shape.safetensors", tensors)
+        assert self._run(workspace, command, path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: tensor 'blocks.0.attn.wk.weight' has shape [8, 4], expected [8, 8]\n"
+        )
+
+    def test_capture_needs_no_output_layers(self, workspace, capsys):
+        base = lewis.read_checkpoint(workspace / "base.safetensors")
+        tensors = {n: base[n] for n in base.names() if n not in ("final_norm.weight", "head.weight")}
+        path = self._write(workspace, "body.safetensors", tensors)
+        assert self._run(workspace, "capture", path) == 0
+        capsys.readouterr()
+        assert self._run(workspace, "eval", path) == 1
+        assert capsys.readouterr().err == f"error: {path}: missing tensor 'final_norm.weight', expected shape [8]\n"
+
+
 class TestInspectAndEval:
     def test_inspect_trimmed_task_vector(self, workspace, small_arch):
         """Nonzero fractions reflect the per-block plan densities."""

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +25,17 @@ from lewis import (
     tokenize,
     zero_checkpoint,
 )
+from lewis import runtime
 from lewis.errors import ArchError, CalibrationError
-from lewis.runtime import _gelu, _rms_norm, _softmax, tensor_shapes
+from lewis.runtime import (
+    _BLAS_THREAD_VARS,
+    _forward_workers,
+    _gelu,
+    _rms_norm,
+    _softmax,
+    check_checkpoint,
+    tensor_shapes,
+)
 
 
 class TestTokenize:
@@ -127,6 +139,11 @@ class TestForwardCapture:
         broken = Checkpoint(tensors)
         with pytest.raises(ArchError, match="blocks.1.attn.wq.weight"):
             forward_capture(broken, small_arch, [1, 2])
+
+    def test_checkpoint_check_stops_at_first_missing_block(self, small_arch):
+        huge = ArchConfig(**{**vars(small_arch), "num_blocks": 10**12})
+        with pytest.raises(ArchError, match=r"^m: missing tensor 'blocks\.2\.attn_norm\.weight', expected shape \[8\]$"):
+            check_checkpoint(random_checkpoint(small_arch, seed=3), huge, "m")
 
     def test_capture_needs_no_output_layers(self, small_arch):
         ckpt = random_checkpoint(small_arch, seed=3)
@@ -358,6 +375,117 @@ class TestEvalLoss:
         random_loss = eval_loss(random_checkpoint(arch, seed=69), arch, calib)
         assert overfit_loss < random_loss
         assert overfit_loss < 1.0
+
+
+
+def pin_machine(monkeypatch, cores: int, **blas: str) -> None:
+    """Pretend the process may use `cores` cores and the BLAS thread variables read `blas`."""
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def serial_profile(ckpt: Checkpoint, arch: ArchConfig, samples: list[list[int]]) -> dict[int, float]:
+    """One sample after another, block norms summed in sample order."""
+    totals = 0.0
+    for sample in samples:
+        totals = totals + np.array([activation_norm(h) for h in forward_capture(ckpt, arch, sample)])
+    return {layer: float(norm) for layer, norm in enumerate(totals / len(samples))}
+
+
+def serial_loss(ckpt: Checkpoint, arch: ArchConfig, samples: list[list[int]]) -> float:
+    """One sample after another, summed cross-entropy added in sample order."""
+    total, count = 0.0, 0
+    for sample in samples:
+        logits = forward_logits(ckpt, arch, sample)[:-1]
+        targets = np.asarray(sample[1:])
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=-1))
+        total += float((log_z - shifted[np.arange(targets.size), targets]).sum())
+        count += targets.size
+    return total / count
+
+
+class TestWorkerThreads:
+    @pytest.mark.parametrize(
+        "blas, expected",
+        [
+            ({}, 1),
+            ({"OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+            ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "two"}, 4),
+            ({"OMP_NUM_THREADS": "two"}, 1),
+            ({"OMP_NUM_THREADS": "0"}, 1),
+            ({"OMP_NUM_THREADS": "-1"}, 1),
+            ({"OMP_NUM_THREADS": "8"}, 1),
+        ],
+        ids=["unset", "omp-1", "openblas-2", "largest-wins", "malformed-ignored",
+             "only-malformed", "zero", "negative", "more-than-cores"],
+    )
+    def test_worker_count_rule(self, monkeypatch, blas, expected):
+        pin_machine(monkeypatch, cores=4, **blas)
+        assert _forward_workers(100) == expected
+
+    def test_worker_count_capped_by_samples(self, monkeypatch):
+        pin_machine(monkeypatch, cores=4, OMP_NUM_THREADS="1")
+        assert [_forward_workers(n) for n in (1, 3, 4, 11)] == [1, 3, 4, 4]
+
+    @pytest.mark.parametrize("num_samples", [1, 3, 11], ids=["one", "fewer-than-workers", "more-than-workers"])
+    def test_results_equal_serial_loop(self, monkeypatch, small_arch, num_samples):
+        pin_machine(monkeypatch, cores=4, OMP_NUM_THREADS="1")
+        ckpt = random_checkpoint(small_arch, seed=71, scale=0.5)
+        rng = np.random.default_rng(num_samples)
+        samples = [[int(t) for t in rng.integers(0, 256, size=int(rng.integers(2, 33)))] for _ in range(num_samples)]
+        calib = CalibrationSet(samples=samples)
+        assert profile_model(ckpt, small_arch, calib).layer_norms == serial_profile(ckpt, small_arch, samples)
+        assert eval_loss(ckpt, small_arch, calib) == serial_loss(ckpt, small_arch, samples)
+
+    @pytest.mark.parametrize("passes", ["profile", "eval"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([], " is empty"),
+            ([1] * 33, " has 33 tokens, exceeds max_seq_len 32"),
+            ([1, 256], r": token ids must lie in \[0, 256\)"),
+            ([-1, 1], r": token ids must lie in \[0, 256\)"),
+        ],
+        ids=["empty", "too-long", "id-too-large", "id-negative"],
+    )
+    def test_first_bad_sample_named_before_any_forward(self, monkeypatch, small_arch, passes, bad, message):
+        pin_machine(monkeypatch, cores=4, OMP_NUM_THREADS="1")
+        forwards = []
+        monkeypatch.setattr(runtime, "forward_capture", lambda *args: forwards.append(args))
+        calib = CalibrationSet(samples=[[1, 2], [3, 4], [5] * 40], source="set.jsonl")
+        calib.samples[1] = bad  # samples 2 and 3 are both bad
+        run = profile_model if passes == "profile" else eval_loss
+        with pytest.raises(CalibrationError, match=f"^set\\.jsonl: sample 2{message}$"):
+            run(random_checkpoint(small_arch, seed=72), small_arch, calib)
+        assert forwards == []
+
+    def test_failed_forward_cancels_samples_not_started(self, monkeypatch, small_arch):
+        pin_machine(monkeypatch, cores=2, OMP_NUM_THREADS="1")
+        started = []
+        second_running = threading.Event()
+
+        def forward(ckpt, arch, tokens):
+            started.append(tokens[0])
+            if tokens[0] == 0:
+                second_running.wait(timeout=10)
+                raise RuntimeError("forward failed")
+            second_running.set()
+            time.sleep(0.01)
+            return [np.ones((len(tokens), arch.hidden_dim))]
+
+        monkeypatch.setattr(runtime, "forward_capture", forward)
+        calib = CalibrationSet(samples=[[i] for i in range(64)])
+        with pytest.raises(RuntimeError, match="forward failed"):
+            profile_model(zero_checkpoint(small_arch), small_arch, calib)
+        assert second_running.is_set()
+        # The other worker runs a sample every 10 ms; without cancellation it would reach all 64.
+        assert 0 in started and len(started) < 64
 
 
 class TestCalibrationFiles:
