@@ -108,6 +108,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     if args.recipe:
+        inline = [f"--{flag}" for flag in ("base", "model", "alpha", "method", "plan", "density", "seed")
+                  if getattr(args, flag) is not None]
+        if inline:
+            raise MergeError(f"--recipe sets the whole merge; drop {', '.join(inline)}")
         recipe = MergeRecipe.load(args.recipe)
     else:
         if not args.base or not args.model:
@@ -116,9 +120,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             base_path=args.base,
             model_paths=args.model,
             alphas=args.alpha or [],
-            method=args.method,
+            method=args.method or "ties",
             plan_refs=args.plan or args.density,  # exclusive options: at most one is set
-            seed=args.seed,
+            seed=args.seed or 0,
         )
     model_ids = derive_model_ids(recipe.model_paths)
     plans = resolve_plans(recipe, model_ids)
@@ -197,15 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("merge", help="merge checkpoints per a recipe or inline flags")
-    p.add_argument("--recipe", help="recipe JSON (overrides inline flags)")
+    p.add_argument("--recipe", help="recipe JSON, given instead of the inline flags below")
     p.add_argument("--base", help="base checkpoint path")
     p.add_argument("--model", action="append", help="fine-tuned checkpoint (repeatable)")
     p.add_argument("--alpha", action="append", type=float, help="per-model scale (repeatable)")
-    p.add_argument("--method", default="ties", choices=list(MERGE_METHODS))
+    p.add_argument("--method", choices=list(MERGE_METHODS), help="merge method (default ties)")
     plans = p.add_mutually_exclusive_group()
     plans.add_argument("--plan", action="append", help="sparsity plan path, one per model")
     plans.add_argument("--density", type=float, help="uniform keep-density for all models")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="DARE drop seed (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge)
 

@@ -1,7 +1,7 @@
 """Merge-method dispatch: task arithmetic, TIES, and the DARE variants.
 
-All four methods run one flow, one tensor at a time. The base and every
-model are opened by their headers, and their names and shapes are checked
+All four methods run one flow, tensor by tensor. The base and every model
+are opened by their headers, and their names and shapes are checked
 against each other before any tensor data is read. Then, for each tensor
 name, that tensor of each input is read and checked finite (else
 NonFiniteTensorError names the file and the tensor), turned into a task
@@ -9,19 +9,36 @@ vector and pruned at its plan's density (magnitude trim for
 task-arithmetic and ties, random drop and rescale for the DARE methods),
 the pruned deltas are combined and the result is snapped to the base's
 dtype and checked finite.
-Only the merged output is held whole. Task arithmetic and dare-linear add
-the alpha-scaled deltas to the base in model order; ties and dare-ties
-first elect a per-parameter sign by total magnitude across models and
-average only the deltas that agree with it: the elected side's sum / the
-elected side's count, from per-model running sums taken in model order, so
-combine memory does not grow with the number of models. Alphas are applied
-as a global per-model scale before sign election, so the single-model
-full-density merge is exactly the fine-tuned checkpoint.
+
+Task arithmetic and dare-linear add the alpha-scaled deltas to the base
+in model order; ties and dare-ties first elect a per-parameter sign by
+total magnitude across models and average only the deltas that agree
+with it: the elected side's sum / the elected side's count, from
+per-model running sums taken in model order, so combine memory does not
+grow with the number of models. Alphas are applied as a global per-model
+scale before sign election, so the single-model full-density merge is
+exactly the fine-tuned checkpoint.
+
+Each tensor's result depends only on its own inputs (the DARE drop stream
+is keyed by the tensor name), so tensors run on min(tensors, usable cores)
+worker threads; the merge does no BLAS work, so the BLAS thread variables
+do not lower that count. The calling thread is one of the workers, and
+all of them take tensor names in name order (`parallel.map_in_order`).
+Before they start, the calling thread allocates one float64 buffer for
+the whole output, and each worker writes its tensor into that tensor's
+view, so no long-lived array is allocated on a helper thread. Tensors in
+flight hold at most twice the largest tensor's element count. After a
+failure no worker starts another tensor, and the merge raises the error
+of the failing tensor that comes first in name order, the one a serial
+loop raises. The output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +47,7 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointFile, exact_checkpoint
 from .errors import RecipeError
 from .importance import SparsityPlan, build_plan_uniform
+from .parallel import map_in_order
 from .pruning import apply_plan, mix_seed
 from .roles import detect_naming_scheme, role_classifier
 from .task_vectors import (
@@ -121,11 +139,17 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
         metadata[f"merge.plan_digest.{model_id}"] = plan.digest()
 
     elect = recipe.method in ("ties", "dare-ties")
+    names, shapes = base.names(), base.shapes()
+    sizes = {name: math.prod(shapes[name]) for name in names}
+    # The calling thread allocates the whole output, so it outlives the
+    # workers in the calling thread's malloc arena, not in theirs.
+    views = np.split(np.empty(sum(sizes.values())), list(itertools.accumulate(sizes.values()))[:-1])
+    out = {name: view.reshape(shapes[name]) for name, view in zip(names, views)}
 
     def shard(ckpt, name: str) -> Checkpoint:
         return exact_checkpoint({name: ckpt[name]}, {name: ckpt.dtypes[name]})
 
-    def combine(name: str) -> np.ndarray:
+    def combine(name: str) -> None:
         # The whole-model functions, fed one-tensor checkpoints, under the names
         # perfbench's traced run wraps.
         base_t = shard(base, name)
@@ -142,6 +166,10 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
             for d, a in zip(deltas, recipe.alphas):
                 d *= float(a)  # each delta is a fresh array from apply_plan
             merged = base_t[name] + ties_combine(deltas)
-        return finalize_checkpoint({name: merged}, base, None)[name]
+        out[name][...] = finalize_checkpoint({name: merged}, base, None)[name]
 
-    return exact_checkpoint({name: combine(name) for name in base.names()}, base.dtypes, metadata)
+    map_in_order(
+        combine, names, len(os.sched_getaffinity(0)),
+        cost=sizes.__getitem__, budget=2 * max(sizes.values(), default=0),
+    )
+    return exact_checkpoint(out, base.dtypes, metadata)

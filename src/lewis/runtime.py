@@ -25,7 +25,8 @@ can never be compared silently.
 
 `profile_model` and `eval_loss` check every sample first, then run one
 sample's forward per worker thread on the cores BLAS leaves idle (numpy's
-matmuls and elementwise loops release the GIL). Each worker returns that
+matmuls and elementwise loops release the GIL); the calling thread is one
+of the workers (`parallel.map_in_order`). Each worker returns that
 sample's block norms or summed loss, and the calling thread adds them up
 in sample order, exactly as a one-worker loop would, so results do not
 depend on the worker count or on which worker finishes first.
@@ -36,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +47,7 @@ from .checkpoint import Checkpoint, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError
 from .importance import NORM_CONVENTIONS, ActivationProfile
+from .parallel import map_in_order
 
 _RMS_EPS = 1e-6
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -353,13 +354,8 @@ def _forward_workers(num_samples: int) -> int:
 
 
 def _map_samples(fn: Callable[[list[int]], object], samples: list[list[int]]) -> list:
-    """`[fn(s) for s in samples]`, in sample order, with one sample per worker thread."""
-    with ThreadPoolExecutor(_forward_workers(len(samples))) as pool:
-        try:
-            return list(pool.map(fn, samples))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # start no further sample once one has failed
-            raise
+    """`[fn(s) for s in samples]`, in sample order, one sample per worker thread at a time."""
+    return map_in_order(fn, samples, _forward_workers(len(samples)))
 
 
 def profile_model(

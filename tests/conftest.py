@@ -1,10 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from lewis import ArchConfig, Checkpoint, random_checkpoint
 from lewis.errors import KeysetMismatchError, ShapeMismatchError
+from lewis.runtime import _BLAS_THREAD_VARS
 
 
 @pytest.fixture
@@ -88,3 +90,12 @@ def mismatched_model(base: Checkpoint, kind: str) -> tuple[Checkpoint, type, str
         return Checkpoint(tensors), KeysetMismatchError, "extra.weight"
     tensors["final_norm.weight"] = np.ones(base["final_norm.weight"].size + 1)
     return Checkpoint(tensors), ShapeMismatchError, "final_norm.weight"
+
+
+def pin_machine(monkeypatch, cores: int, **blas: str) -> None:
+    """Pretend the process may use `cores` cores and the BLAS thread variables read `blas`."""
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))

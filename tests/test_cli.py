@@ -199,6 +199,30 @@ class TestMerge:
         assert merged.metadata["merge.method"] == "ties"
         assert merged.metadata["merge.seed"] == "7"
 
+    @pytest.mark.parametrize(
+        "inline, named",
+        [
+            (["--base", "base.safetensors"], "--base"),
+            (["--model", "fine.safetensors"], "--model"),
+            (["--alpha", "2"], "--alpha"),
+            (["--method", "dare-ties"], "--method"),
+            (["--plan", "p.json"], "--plan"),
+            (["--density", "0.5"], "--density"),
+            (["--seed", "0"], "--seed"),
+            (["--model", "fine.safetensors", "--alpha", "1", "--seed", "3"], "--model, --alpha, --seed"),
+        ],
+        ids=["base", "model", "alpha", "method", "plan", "density", "seed", "several"],
+    )
+    def test_recipe_with_inline_flags_is_error(self, workspace, capsys, inline, named):
+        lewis.MergeRecipe(base_path="base.safetensors", model_paths=["fine.safetensors"]).save(
+            workspace / "recipe.json"
+        )
+        code = run(["merge", "--recipe", workspace / "recipe.json", *inline,
+                    "--out", workspace / "merged.safetensors"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --recipe sets the whole merge; drop {named}\n"
+        assert not (workspace / "merged.safetensors").exists()
+
     def test_summary_output(self, workspace, capsys):
         run([
             "merge", "--base", workspace / "base.safetensors",

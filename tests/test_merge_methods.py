@@ -5,6 +5,8 @@ TIES's elect-then-mean rule; `ties_combine` must agree with them.
 """
 
 import re
+import threading
+import time
 import tracemalloc
 from typing import Sequence
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import lewis
 import lewis.checkpoint
+import lewis.merge_methods
 from lewis import (
     Checkpoint,
     MergeRecipe,
@@ -23,10 +26,10 @@ from lewis import (
     ties_combine,
     write_checkpoint,
 )
-from lewis.errors import RecipeError
+from lewis.errors import NonFiniteTensorError, RecipeError
 from lewis.pruning import mix_seed
 from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
-from conftest import header_keys, mismatched_model, relayout, reverse_data_region
+from conftest import header_keys, mismatched_model, pin_machine, relayout, reverse_data_region
 
 
 def elect_sign(values: Sequence[float]) -> int:
@@ -491,3 +494,126 @@ class TestStreamedMerge:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * base_f64_bytes, f"peak {peak / base_f64_bytes:.2f} base copies"
+
+    @pytest.mark.parametrize("cores", [1, 2, 8, 32])
+    @pytest.mark.parametrize("method", ["ties", "dare-linear"])
+    def test_peak_memory_bound_holds_at_any_core_count(self, tmp_path, monkeypatch, method, cores):
+        """The in-flight budget keeps the same 2.5x bound however many workers run."""
+        pin_machine(monkeypatch, cores=cores)
+        self.test_peak_memory_below_two_and_a_half_base_copies(tmp_path, method)
+
+
+def _write_models(tmp_path, arch, count: int, bad: Sequence[str] = ()) -> MergeRecipe:
+    """A base and `count` fine-tunes of it on disk; the last fine-tune holds NaN in the `bad` tensors."""
+    base = lewis.random_checkpoint(arch, seed=91)
+    rng = np.random.default_rng(92)
+    write_checkpoint(base, tmp_path / "base.safetensors")
+    paths = []
+    for i in range(count):
+        tensors = {n: base[n] + 0.5 * rng.standard_normal(base[n].shape) for n in base.names()}
+        if i == count - 1:
+            for name in bad:
+                tensors[name][(0,) * tensors[name].ndim] = np.nan
+        paths.append(tmp_path / f"f{i}.safetensors")
+        write_checkpoint(Checkpoint(tensors), paths[-1])
+    return MergeRecipe(
+        base_path=str(tmp_path / "base.safetensors"), model_paths=[str(p) for p in paths],
+        plan_refs=0.5, seed=5,
+    )
+
+
+class TestThreadedMerge:
+    """`merge` runs tensors on one worker per usable core; cores are pinned with
+    a patched `os.sched_getaffinity`, so these run the threaded path on any machine."""
+
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, small_arch, method):
+        recipe = _write_models(tmp_path, small_arch, 2)
+        recipe.method = method
+        outputs = []
+        for cores in (1, 2, 4):
+            pin_machine(monkeypatch, cores=cores)
+            write_checkpoint(merge(recipe), tmp_path / f"merged{cores}.safetensors")
+            outputs.append((tmp_path / f"merged{cores}.safetensors").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_first_failing_tensor_in_name_order_is_raised(self, tmp_path, monkeypatch, small_arch):
+        names = sorted(lewis.random_checkpoint(small_arch, seed=0).names())
+        first, later = names[1], names[2]
+        recipe = _write_models(tmp_path, small_arch, 1, bad=[first, later])
+        later_failed = threading.Event()
+        read = lewis.checkpoint.CheckpointFile.__getitem__
+
+        def slow_first_read(self, name):
+            # The earlier bad tensor fails only after the later one has.
+            if name == first:
+                later_failed.wait(timeout=10)
+            try:
+                return read(self, name)
+            except NonFiniteTensorError:
+                if name == later:
+                    later_failed.set()
+                raise
+
+        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "__getitem__", slow_first_read)
+        pin_machine(monkeypatch, cores=4)
+        with pytest.raises(NonFiniteTensorError, match=f"tensor {re.escape(repr(first))} holds NaN"):
+            merge(recipe)
+        assert later_failed.is_set()
+
+    def test_no_tensor_starts_after_a_failure(self, tmp_path, monkeypatch, small_arch):
+        recipe = _write_models(tmp_path, small_arch, 1)
+        names = sorted(lewis.random_checkpoint(small_arch, seed=0).names())
+        started = []
+        all_running = threading.Barrier(4, timeout=10)
+        compute = lewis.merge_methods.compute_task_vector
+
+        def failing_compute(base, finetuned, model_id):
+            name = base.names()[0]
+            started.append(name)
+            if name in names[:4]:
+                all_running.wait()  # the first four tensors run side by side
+            if name == names[0]:
+                raise RuntimeError("task vector failed")
+            time.sleep(0.2)  # the failure is recorded before these finish
+            return compute(base, finetuned, model_id)
+
+        monkeypatch.setattr(lewis.merge_methods, "compute_task_vector", failing_compute)
+        pin_machine(monkeypatch, cores=4)
+        with pytest.raises(RuntimeError, match="task vector failed"):
+            merge(recipe)
+        assert sorted(started) == names[:4]
+
+    def test_calling_thread_merges_a_tensor(self, tmp_path, monkeypatch, small_arch):
+        recipe = _write_models(tmp_path, small_arch, 2)
+        threads = set()
+        apply_plan = lewis.merge_methods.apply_plan
+
+        def recording_apply_plan(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return apply_plan(*args, **kwargs)
+
+        monkeypatch.setattr(lewis.merge_methods, "apply_plan", recording_apply_plan)
+        pin_machine(monkeypatch, cores=4)
+        merge(recipe)
+        assert threading.get_ident() in threads
+
+    @pytest.mark.parametrize(
+        "blas", [{}, {"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "4"}, {"MKL_NUM_THREADS": "8"}],
+        ids=["unset", "omp-1", "openblas-4", "mkl-more-than-cores"],
+    )
+    def test_worker_count_ignores_blas_variables(self, tmp_path, monkeypatch, small_arch, blas):
+        recipe = _write_models(tmp_path, small_arch, 1)
+        workers = []
+        map_in_order = lewis.merge_methods.map_in_order
+
+        def recording_map(fn, items, count, **kwargs):
+            workers.append(min(count, len(items)))
+            return map_in_order(fn, items, count, **kwargs)
+
+        monkeypatch.setattr(lewis.merge_methods, "map_in_order", recording_map)
+        pin_machine(monkeypatch, cores=4, **blas)
+        merge(recipe)
+        pin_machine(monkeypatch, cores=64, **blas)
+        merge(recipe)
+        assert workers == [4, len(lewis.random_checkpoint(small_arch, seed=0).names())]

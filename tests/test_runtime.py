@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import threading
 import time
 
@@ -28,7 +27,6 @@ from lewis import (
 from lewis import runtime
 from lewis.errors import ArchError, CalibrationError
 from lewis.runtime import (
-    _BLAS_THREAD_VARS,
     _forward_workers,
     _gelu,
     _rms_norm,
@@ -36,6 +34,7 @@ from lewis.runtime import (
     check_checkpoint,
     tensor_shapes,
 )
+from conftest import pin_machine
 
 
 class TestTokenize:
@@ -376,15 +375,6 @@ class TestEvalLoss:
         assert overfit_loss < random_loss
         assert overfit_loss < 1.0
 
-
-
-def pin_machine(monkeypatch, cores: int, **blas: str) -> None:
-    """Pretend the process may use `cores` cores and the BLAS thread variables read `blas`."""
-    for var in _BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in blas.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
 def serial_profile(ckpt: Checkpoint, arch: ArchConfig, samples: list[list[int]]) -> dict[int, float]:
