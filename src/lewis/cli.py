@@ -31,7 +31,6 @@ from .importance import (
     importance_deltas,
 )
 from .merge_methods import derive_model_ids, merge, resolve_plans
-from .pruning import effective_mean_density
 from .roles import BLOCK_KINDS, detect_naming_scheme, role_classifier
 from .runtime import ArchConfig, CalibrationSet, check_checkpoint, eval_loss, profile_model
 from .task_vectors import MERGE_METHODS, MergeRecipe
@@ -63,6 +62,8 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    # Only the --hi/--lo the user gave: the topk and layer-type builders hold the defaults.
+    hi_lo = {flag: getattr(args, flag) for flag in ("hi", "lo") if getattr(args, flag) is not None}
     if args.mode in ("lewis-literal", "lewis-minmax"):
         if not args.profile or not args.base_profile:
             raise MergeError(f"mode {args.mode} needs --profile and --base-profile")
@@ -84,17 +85,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             raise MergeError("mode topk needs --k")
         profile = ActivationProfile.load(args.profile)
         scores = importance_deltas(profile, ActivationProfile.load(args.base_profile))
-        lo = args.lo if args.lo is not None else 0.1
-        plan = build_plan_topk(scores, args.k, hi=args.hi, lo=lo, model_id=profile.model_id)
+        plan = build_plan_topk(scores, args.k, model_id=profile.model_id, **hi_lo)
     else:  # layer-type
         if not args.role:
             raise MergeError("mode layer-type needs --role")
-        plan = build_plan_layer_type(
-            args.role,
-            hi=args.hi,
-            lo=args.lo if args.lo is not None else 0.01,
-            model_id=args.model_id or "",
-        )
+        plan = build_plan_layer_type(args.role, model_id=args.model_id or "", **hi_lo)
     plan.save(args.out)
     print(f"plan mode={plan.mode} model={plan.model_id!r} -> {args.out}")
     rows = [[str(layer), f"{plan.densities[layer]:.4f}"] for layer in sorted(plan.densities)]
@@ -130,11 +125,14 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     save_checkpoint(merged, args.out)
 
     roles = role_classifier(detect_naming_scheme(merged.names()))
+    sizes = {name: merged[name].size for name in merged.names()}
+    total = sum(sizes.values()) or 1  # a merge without tensors keeps nothing
     print(f"merged {len(recipe.model_paths)} model(s) via {recipe.method} -> {args.out}")
     rows = []
     for model_id, plan in zip(model_ids, plans):
-        density = effective_mean_density(plan, merged.names(), roles)
-        rows.append([model_id, plan.mode, f"{density:.4f}"])
+        # The parameter budget: each tensor's density weighted by its element count.
+        kept = sum(plan.density_for(roles(name), name) * size for name, size in sizes.items())
+        rows.append([model_id, plan.mode, f"{kept / total:.4f}"])
     _print_table(["model", "plan", "mean density"], rows)
     print(f"tensors: {len(merged)}  method: {recipe.method}  seed: {recipe.seed}")
     return 0
@@ -195,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, help="uniform mode keep-density")
     p.add_argument("--k", type=float, help="topk mode: percent of blocks kept dense")
     p.add_argument("--role", choices=sorted(BLOCK_KINDS), help="layer-type mode role")
-    p.add_argument("--hi", type=float, default=1.0, help="density for selected layers")
-    p.add_argument("--lo", type=float, default=None, help="density for remaining layers")
+    p.add_argument("--hi", type=float, help="density for selected layers")
+    p.add_argument("--lo", type=float, help="density for remaining layers")
     p.add_argument("--model-id", default=None)
     p.set_defaults(func=_cmd_plan)
 

@@ -134,11 +134,3 @@ def apply_plan(
             pruned[name] = random_drop_rescale(delta, density, seed, name)
     return TaskVector(deltas=pruned, source_model_id=tv.source_model_id)
 
-
-def effective_mean_density(
-    plan: SparsityPlan, names: list[str], roles: Callable[[str], TensorRole]
-) -> float:
-    """Mean over tensors of the density the plan assigns them."""
-    if not names:
-        return 0.0
-    return float(np.mean([plan.density_for(roles(n), n) for n in names]))

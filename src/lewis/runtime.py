@@ -23,10 +23,15 @@ Activation capture returns, per block, the post-residual block output as a
 under a recorded norm convention so profiles from different conventions
 can never be compared silently.
 
-`profile_model` and `eval_loss` check every sample first, then run one
-sample's forward per worker thread on the cores BLAS leaves idle (numpy's
-matmuls and elementwise loops release the GIL); the calling thread is one
-of the workers (`parallel.map_in_order`). Each worker returns that
+Inputs are checked once per call, before any arithmetic. `forward_capture`
+checks the tensors it reads (`check_checkpoint`, the one weight rule) and
+the tokens (`_check_tokens`, the one token rule); `forward_logits` also
+checks `final_norm` and `head`. The blocks then read their weights
+unchecked. `profile_model` and `eval_loss` check every sample with the
+same token rule, naming the first bad one, before any forward runs. Then
+they run one sample's forward per worker thread on the cores BLAS leaves
+idle (numpy's matmuls and elementwise loops release the GIL); the calling
+thread is one of the workers (`parallel.map_in_order`). Each worker returns that
 sample's block norms or summed loss, and the calling thread adds them up
 in sample order, exactly as a one-worker loop would, so results do not
 depend on the worker count or on which worker finishes first.
@@ -45,7 +50,7 @@ from scipy.special import erf
 
 from .checkpoint import Checkpoint, _write_atomic
 from .documents import Document
-from .errors import ArchError, CalibrationError
+from .errors import ArchError, CalibrationError, MergeError
 from .importance import NORM_CONVENTIONS, ActivationProfile
 from .parallel import map_in_order
 
@@ -208,8 +213,8 @@ class CalibrationSet:
                 sample = tokenize(text, max_seq_len)
             else:
                 raise CalibrationError(f"{where}: record has neither 'text' nor 'tokens'")
-            if vocab_size is not None and not all(0 <= t < vocab_size for t in sample):
-                raise CalibrationError(f"{where}: token ids must lie in [0, {vocab_size})")
+            if vocab_size is not None:
+                _check_tokens(sample, vocab_size, label=where, error=CalibrationError)
             samples.append(sample)
         if not samples:
             raise CalibrationError(f"{path}: no calibration records")
@@ -223,15 +228,6 @@ class CalibrationSet:
 # --------------------------------------------------------------------------- #
 # forward pass
 # --------------------------------------------------------------------------- #
-
-def _get_weight(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    if name not in ckpt:
-        raise ArchError(f"checkpoint is missing tensor {name!r}")
-    arr = ckpt[name]
-    if arr.shape != shape:
-        raise ArchError(f"tensor {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
-    return arr
-
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
@@ -248,25 +244,32 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_tokens(arch: ArchConfig, tokens: list[int]) -> np.ndarray:
-    vocab_error = f"token ids must lie in [0, {arch.vocab_size})"
+def _check_tokens(
+    tokens: list[int], vocab_size: int, max_seq_len: int | None = None, min_tokens: int = 1,
+    label: str = "token sequence", error: type[MergeError] = ArchError,
+) -> None:
+    """The one token rule: raise `error` naming `label` unless the forward can take `tokens`.
+
+    `tokens` must hold max(1, min_tokens) to `max_seq_len` ids, each an int in
+    [0, vocab_size); a bool, float or string id gets the out-of-range message.
+    """
     try:
-        toks = np.asarray(tokens, dtype=np.int64)
-    except OverflowError as exc:
-        raise ArchError(vocab_error) from exc
-    if toks.ndim != 1 or toks.size == 0:
-        raise ArchError("token sequence must be a nonempty 1-d list")
-    if toks.size > arch.max_seq_len:
-        raise ArchError(f"sequence length {toks.size} exceeds max_seq_len {arch.max_seq_len}")
-    if toks.min() < 0 or toks.max() >= arch.vocab_size:
-        raise ArchError(vocab_error)
-    return toks
+        n = len(tokens)
+    except TypeError:  # a bare int or a 0-d array
+        raise error(f"{label} must be a list of token ids, got {type(tokens).__name__}") from None
+    if n == 0:
+        raise error(f"{label} is empty")
+    if n < min_tokens:
+        raise error(f"{label} has {n} tokens, need >= {min_tokens}")
+    if max_seq_len is not None and n > max_seq_len:
+        raise error(f"{label} has {n} tokens, exceeds max_seq_len {max_seq_len}")
+    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < vocab_size
+               for t in tokens):
+        raise error(f"{label}: token ids must lie in [0, {vocab_size})")
 
 
 def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
-    attn_norm, wq, wk, wv, wo, mlp_norm, up, down = (
-        _get_weight(ckpt, f"blocks.{i}.{part}.weight", shape) for part, shape in _block_shapes(arch).items()
-    )
+    attn_norm, wq, wk, wv, wo, mlp_norm, up, down = (ckpt[f"blocks.{i}.{part}.weight"] for part in _block_shapes(arch))
     d = arch.hidden_dim
     dh = d // arch.num_heads
     T = h.shape[0]
@@ -292,9 +295,9 @@ def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) ->
 
 def forward_capture(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> list[np.ndarray]:
     """Run the decoder and return each block's output, a (tokens, hidden) matrix."""
-    toks = _check_tokens(arch, tokens)
-    embed = _get_weight(ckpt, "embed.weight", (arch.vocab_size, arch.hidden_dim))
-    h = embed[toks]
+    check_checkpoint(ckpt, arch, "checkpoint", output_layers=False)
+    _check_tokens(tokens, arch.vocab_size, arch.max_seq_len)
+    h = ckpt["embed.weight"][np.asarray(tokens, dtype=np.int64)]
     captures: list[np.ndarray] = []
     for i in range(arch.num_blocks):
         h = _block_forward(ckpt, arch, i, h)  # a new array: blocks never write into their input
@@ -304,9 +307,9 @@ def forward_capture(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> li
 
 def forward_logits(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> np.ndarray:
     """Next-token logits at every position, shape (tokens, vocab)."""
+    check_checkpoint(ckpt, arch, "checkpoint")
     h = forward_capture(ckpt, arch, tokens)[-1]
-    h = _rms_norm(h, _get_weight(ckpt, "final_norm.weight", (arch.hidden_dim,)))
-    return h @ _get_weight(ckpt, "head.weight", (arch.vocab_size, arch.hidden_dim)).T
+    return _rms_norm(h, ckpt["final_norm.weight"]) @ ckpt["head.weight"].T
 
 
 # --------------------------------------------------------------------------- #
@@ -325,15 +328,9 @@ def activation_norm(block_output: np.ndarray, convention: str = "mean-token-l2")
 def _check_samples(arch: ArchConfig, calib: CalibrationSet, min_tokens: int = 1) -> None:
     """Raise CalibrationError naming the source and the first sample the forward cannot take."""
     for i, sample in enumerate(calib.samples, start=1):
-        where = f"{calib.source}: sample {i}"
-        if len(sample) == 0:
-            raise CalibrationError(f"{where} is empty")
-        if len(sample) < min_tokens:
-            raise CalibrationError(f"{where} has {len(sample)} tokens, need >= {min_tokens}")
-        if len(sample) > arch.max_seq_len:
-            raise CalibrationError(f"{where} has {len(sample)} tokens, exceeds max_seq_len {arch.max_seq_len}")
-        if not all(0 <= t < arch.vocab_size for t in sample):
-            raise CalibrationError(f"{where}: token ids must lie in [0, {arch.vocab_size})")
+        _check_tokens(
+            sample, arch.vocab_size, arch.max_seq_len, min_tokens, f"{calib.source}: sample {i}", CalibrationError
+        )
 
 
 def _forward_workers(num_samples: int) -> int:

@@ -132,6 +132,25 @@ class TestPlan:
         assert plan.role_overrides["MLP"] == 1.0
         assert plan.role_overrides["Q"] == 0.01
 
+    @pytest.mark.parametrize("flags", [[], ["--hi", "0.9"], ["--lo", "0.2"], ["--hi", "0.7", "--lo", "0.3"]],
+                             ids=["defaults", "hi", "lo", "both"])
+    @pytest.mark.parametrize("mode", ["topk", "layer-type"])
+    def test_unset_hi_and_lo_take_the_builder_defaults(self, workspace, mode, flags):
+        kwargs = {flag.removeprefix("--"): float(value) for flag, value in zip(flags[::2], flags[1::2])}
+        if mode == "topk":
+            self._profiles(workspace)
+            fine = lewis.ActivationProfile.load(workspace / "fine.profile.json")
+            scores = lewis.importance_deltas(fine, lewis.ActivationProfile.load(workspace / "base.profile.json"))
+            expected = lewis.build_plan_topk(scores, 50.0, model_id=fine.model_id, **kwargs)
+            args = ["--k", "50", "--profile", workspace / "fine.profile.json",
+                    "--base-profile", workspace / "base.profile.json"]
+        else:
+            expected = lewis.build_plan_layer_type("V", **kwargs)
+            args = ["--role", "V"]
+        assert run(["plan", "--mode", mode, *args, *flags, "--out", workspace / "p.json"]) == 0
+        expected.save(workspace / "expected.json")
+        assert (workspace / "p.json").read_bytes() == (workspace / "expected.json").read_bytes()
+
     def test_invalid_bounds_exit_one(self, workspace, capsys):
         self._profiles(workspace)
         code = run([
@@ -232,6 +251,24 @@ class TestMerge:
         out = capsys.readouterr().out
         assert "mean density" in out
         assert "0.5000" in out
+
+    def test_mean_density_weights_tensors_by_size(self, tmp_path, capsys):
+        """A lewis plan gives block 0 (256 elements) 0.8 and block 1 (16) 0.5; the
+        16-element embedding takes the default 0.65. The column is the parameter
+        budget (16*0.65 + 256*0.8 + 16*0.5) / 288 = 0.775, not the per-tensor 0.65."""
+        shapes = {"embed.weight": (4, 4), "blocks.0.mlp.up.weight": (16, 16), "blocks.1.mlp.up.weight": (4, 4)}
+        rng = np.random.default_rng(3)
+        for tag in ("base", "fine"):
+            tensors = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            lewis.write_checkpoint(lewis.Checkpoint(tensors), tmp_path / f"{tag}.safetensors")
+        for tag, norms in (("base", {0: 1.0, 1: 1.0}), ("fine", {0: 2.0, 1: 1.0})):
+            lewis.ActivationProfile(tag, norms, num_samples=1).save(tmp_path / f"{tag}.profile.json")
+        assert run(["plan", "--mode", "lewis-minmax", "--profile", tmp_path / "fine.profile.json",
+                    "--base-profile", tmp_path / "base.profile.json", "--out", tmp_path / "plan.json"]) == 0
+        capsys.readouterr()
+        assert run(["merge", "--base", tmp_path / "base.safetensors", "--model", tmp_path / "fine.safetensors",
+                    "--plan", tmp_path / "plan.json", "--out", tmp_path / "merged.safetensors"]) == 0
+        assert capsys.readouterr().out.splitlines()[3].split() == ["fine", "lewis-minmax", "0.7750"]
 
     def test_same_stem_models_get_distinct_ids(self, workspace, capsys):
         for sub in ("a", "b"):

@@ -17,7 +17,7 @@ from lewis import (
     role_classifier,
 )
 from lewis.errors import PlanError
-from lewis.pruning import effective_mean_density, trim_count
+from lewis.pruning import trim_count
 
 
 def trim_oracle(values: np.ndarray, density: float) -> np.ndarray:
@@ -231,8 +231,3 @@ class TestApplyPlan:
         out2 = apply_plan(tv, build_plan_uniform(0.5, "m"), "random", role_classifier("toy"), seed=9)
         for name in tv.names():
             np.testing.assert_array_equal(out1[name], out2[name])
-
-    def test_effective_mean_density(self, small_arch):
-        names = list(lewis.runtime.tensor_shapes(small_arch))
-        plan = build_plan_uniform(0.5, "m")
-        assert effective_mean_density(plan, names, role_classifier("toy")) == pytest.approx(0.5)

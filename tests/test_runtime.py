@@ -168,6 +168,17 @@ class TestForwardCapture:
         with pytest.raises(ArchError):
             forward_capture(ckpt, small_arch, [0, 999])
 
+    @pytest.mark.parametrize("tokens", [5, np.array(5)], ids=["int", "0-d-array"])
+    def test_non_sequence_is_arch_error(self, small_arch, tokens):
+        with pytest.raises(ArchError, match=r"^token sequence must be a list of token ids, got (int|ndarray)$"):
+            forward_capture(zero_checkpoint(small_arch), small_arch, tokens)
+
+    @pytest.mark.parametrize("tokens", [[1.5, 2], [True, 2], ["1", 2], [np.float64(1.0), 2]],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_id_is_arch_error(self, small_arch, tokens):
+        with pytest.raises(ArchError, match=r"^token sequence: token ids must lie in \[0, 256\)$"):
+            forward_capture(zero_checkpoint(small_arch), small_arch, tokens)
+
 
 def einsum_block_oracle(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
     """Block `i`'s output on input `h` from the earlier decoder body, whose attention ran as two einsums."""
@@ -264,6 +275,45 @@ def test_block_outputs_ignore_later_tokens(run, data):
     changed = tokens[: t + 1] + tail
     for a, b in zip(forward_capture(ckpt, arch, tokens), forward_capture(ckpt, arch, changed)):
         assert_close_to(b[: t + 1], a[: t + 1])
+
+
+_RULE_ARCH = ArchConfig(vocab_size=256, hidden_dim=8, num_blocks=2, num_heads=2, mlp_dim=16, max_seq_len=32)
+_RULE_CKPT = random_checkpoint(_RULE_ARCH, seed=5)
+
+
+@st.composite
+def _token_lists(draw):
+    """Lengths 0..max_seq_len + 1, mostly valid ids; at times one id out of range or not an int."""
+    tokens = draw(st.lists(st.integers(0, 255), max_size=_RULE_ARCH.max_seq_len + 1))
+    if tokens and draw(st.booleans()):
+        odd = st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=256), st.booleans(), st.floats(),
+            st.text(max_size=2), st.builds(np.float64, st.integers(0, 255)),
+            st.builds(np.int64, st.integers(0, 255)),  # a numpy int in range is a valid id
+        )
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
+    return tokens
+
+
+def _error(run, error: type[Exception]) -> str | None:
+    try:
+        run()
+    except error as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=_token_lists())
+def test_forward_and_calibration_share_one_token_rule(tokens):
+    """forward_capture rejects a token list exactly when a one-sample profile does, with the same message tail."""
+    forward = _error(lambda: forward_capture(_RULE_CKPT, _RULE_ARCH, tokens), ArchError)
+    calib = _error(
+        lambda: profile_model(_RULE_CKPT, _RULE_ARCH, CalibrationSet([tokens], source="s")), CalibrationError
+    )
+    assert (forward is None) == (calib is None)
+    if forward is not None:
+        assert forward.removeprefix("token sequence") == calib.removeprefix("s: sample 1")
 
 
 class TestActivationNorm:
@@ -441,8 +491,11 @@ class TestWorkerThreads:
             ([1] * 33, " has 33 tokens, exceeds max_seq_len 32"),
             ([1, 256], r": token ids must lie in \[0, 256\)"),
             ([-1, 1], r": token ids must lie in \[0, 256\)"),
+            ([1.5, 2], r": token ids must lie in \[0, 256\)"),
+            ([True, 2], r": token ids must lie in \[0, 256\)"),
+            (["1", 2], r": token ids must lie in \[0, 256\)"),
         ],
-        ids=["empty", "too-long", "id-too-large", "id-negative"],
+        ids=["empty", "too-long", "id-too-large", "id-negative", "id-float", "id-bool", "id-str"],
     )
     def test_first_bad_sample_named_before_any_forward(self, monkeypatch, small_arch, passes, bad, message):
         pin_machine(monkeypatch, cores=4, OMP_NUM_THREADS="1")
