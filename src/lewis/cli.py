@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 # Bound under the names perfbench's traced run wraps to measure the CLI's checkpoint IO.
-from .checkpoint import read_checkpoint as load_checkpoint, write_checkpoint as save_checkpoint
+from .checkpoint import CheckpointFile, read_checkpoint as load_checkpoint, write_checkpoint as save_checkpoint
 from .errors import MergeError
 from .importance import (
     NORM_CONVENTIONS,
@@ -45,15 +45,20 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
+def _given(args: argparse.Namespace, flags: list[str]) -> dict:
+    """The flags among `flags` (by dest) that the user gave: argparse leaves the others None."""
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+
+
 def _cmd_capture(args: argparse.Namespace) -> int:
     arch = ArchConfig.load(args.arch)
     ckpt = load_checkpoint(args.model, finite=True)
     check_checkpoint(ckpt, arch, args.model, output_layers=False)
     calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
     model_id = args.model_id or derive_model_ids([args.model])[0]
-    profile = profile_model(ckpt, arch, calib, convention=args.convention, model_id=model_id)
+    profile = profile_model(ckpt, arch, calib, model_id=model_id, **_given(args, ["convention"]))
     profile.save(args.out)
-    print(f"profiled {model_id!r} on {len(calib)} samples ({args.convention})")
+    print(f"profiled {model_id!r} on {len(calib)} samples ({profile.norm_convention})")
     _print_table(
         ["block", "norm"],
         [[str(layer), f"{profile.layer_norms[layer]:.6f}"] for layer in sorted(profile.layer_norms)],
@@ -61,35 +66,37 @@ def _cmd_capture(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each plan mode's row: the flags it needs, then the flags it may take, whose
+# defaults its builder (or SparsityBounds) holds. Any other plan flag is an error.
+_PLAN_FLAGS = {
+    "lewis-literal": (["profile", "base_profile"], ["gamma", "epsilon"]),
+    "lewis-minmax": (["profile", "base_profile"], ["gamma", "epsilon"]),
+    "uniform": (["density"], ["model_id"]),
+    "topk": (["profile", "base_profile", "k"], ["hi", "lo"]),
+    "layer-type": (["role"], ["hi", "lo", "model_id"]),
+}
+_ALL_PLAN_FLAGS = list(dict.fromkeys(flag for needs, takes in _PLAN_FLAGS.values() for flag in needs + takes))
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
-    # Only the --hi/--lo the user gave: the topk and layer-type builders hold the defaults.
-    hi_lo = {flag: getattr(args, flag) for flag in ("hi", "lo") if getattr(args, flag) is not None}
-    if args.mode in ("lewis-literal", "lewis-minmax"):
-        if not args.profile or not args.base_profile:
-            raise MergeError(f"mode {args.mode} needs --profile and --base-profile")
-        bounds = SparsityBounds(args.gamma, args.epsilon)
-        plan = build_plan_lewis(
-            ActivationProfile.load(args.profile),
-            ActivationProfile.load(args.base_profile),
-            bounds,
-            mode=args.mode.removeprefix("lewis-"),
-        )
-    elif args.mode == "uniform":
-        if args.density is None:
-            raise MergeError("mode uniform needs --density")
-        plan = build_plan_uniform(args.density, model_id=args.model_id or "uniform")
-    elif args.mode == "topk":
-        if not args.profile or not args.base_profile:
-            raise MergeError("mode topk needs --profile and --base-profile")
-        if args.k is None:
-            raise MergeError("mode topk needs --k")
-        profile = ActivationProfile.load(args.profile)
-        scores = importance_deltas(profile, ActivationProfile.load(args.base_profile))
-        plan = build_plan_topk(scores, args.k, model_id=profile.model_id, **hi_lo)
-    else:  # layer-type
-        if not args.role:
-            raise MergeError("mode layer-type needs --role")
-        plan = build_plan_layer_type(args.role, model_id=args.model_id or "", **hi_lo)
+    needs, takes = _PLAN_FLAGS[args.mode]
+    given = _given(args, _ALL_PLAN_FLAGS)
+    missing = ["--" + f.replace("_", "-") for f in needs if f not in given]
+    unread = ["--" + f.replace("_", "-") for f in given if f not in needs + takes]
+    errors = [f"{what} {', '.join(flags)}" for what, flags in (("needs", missing), ("does not read", unread)) if flags]
+    if errors:
+        raise MergeError(f"mode {args.mode} {'; '.join(errors)}")
+    options = {flag: value for flag, value in given.items() if flag in takes}
+    if args.mode == "uniform":
+        plan = build_plan_uniform(given["density"], **options)
+    elif args.mode == "layer-type":
+        plan = build_plan_layer_type(given["role"], **options)
+    else:
+        profile, base = (ActivationProfile.load(given[flag]) for flag in ("profile", "base_profile"))
+        if args.mode == "topk":
+            plan = build_plan_topk(importance_deltas(profile, base), given["k"], model_id=profile.model_id, **options)
+        else:
+            plan = build_plan_lewis(profile, base, SparsityBounds(**options), mode=args.mode.removeprefix("lewis-"))
     plan.save(args.out)
     print(f"plan mode={plan.mode} model={plan.model_id!r} -> {args.out}")
     rows = [[str(layer), f"{plan.densities[layer]:.4f}"] for layer in sorted(plan.densities)]
@@ -103,22 +110,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     if args.recipe:
-        inline = [f"--{flag}" for flag in ("base", "model", "alpha", "method", "plan", "density", "seed")
-                  if getattr(args, flag) is not None]
-        if inline:
-            raise MergeError(f"--recipe sets the whole merge; drop {', '.join(inline)}")
+        if inline := _given(args, ["base", "model", "alpha", "method", "plan", "density", "seed"]):
+            raise MergeError(f"--recipe sets the whole merge; drop {', '.join('--' + flag for flag in inline)}")
         recipe = MergeRecipe.load(args.recipe)
     else:
         if not args.base or not args.model:
             raise MergeError("merge needs --recipe, or --base plus at least one --model")
-        recipe = MergeRecipe(
-            base_path=args.base,
-            model_paths=args.model,
-            alphas=args.alpha or [],
-            method=args.method or "ties",
-            plan_refs=args.plan or args.density,  # exclusive options: at most one is set
-            seed=args.seed or 0,
-        )
+        # Only the fields the user gave: MergeRecipe holds the defaults. --plan and --density are exclusive.
+        given = {"alphas": args.alpha, "method": args.method, "plan_refs": args.plan or args.density, "seed": args.seed}
+        recipe = MergeRecipe(args.base, args.model, **{k: v for k, v in given.items() if v is not None})
     model_ids = derive_model_ids(recipe.model_paths)
     plans = resolve_plans(recipe, model_ids)
     merged = merge(recipe, plans)
@@ -139,7 +139,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = CheckpointFile(args.ckpt)  # reads and widens one tensor at a time
     roles = role_classifier(detect_naming_scheme(ckpt.names()))
     rows = []
     for name in ckpt.names():
@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, help="architecture config JSON")
     p.add_argument("--calib", required=True, help="calibration JSONL file")
     p.add_argument("--out", required=True, help="profile output path")
-    p.add_argument("--convention", default="mean-token-l2", choices=NORM_CONVENTIONS)
-    p.add_argument("--model-id", default=None)
+    p.add_argument("--convention", choices=NORM_CONVENTIONS, help="activation norm convention")
+    p.add_argument("--model-id", help="profile's model id (default: derived from --model)")
     p.set_defaults(func=_cmd_capture)
 
     p = sub.add_parser("plan", help="build a sparsity plan")
@@ -188,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--profile", help="fine-tuned model profile (lewis/topk modes)")
     p.add_argument("--base-profile", help="base model profile (lewis/topk modes)")
-    p.add_argument("--gamma", type=float, default=0.5, help="lower keep-density bound")
-    p.add_argument("--epsilon", type=float, default=0.8, help="upper keep-density bound")
+    p.add_argument("--gamma", type=float, help=f"lower keep-density bound (default {SparsityBounds.gamma})")
+    p.add_argument("--epsilon", type=float, help=f"upper keep-density bound (default {SparsityBounds.epsilon})")
     p.add_argument("--density", type=float, help="uniform mode keep-density")
     p.add_argument("--k", type=float, help="topk mode: percent of blocks kept dense")
     p.add_argument("--role", choices=sorted(BLOCK_KINDS), help="layer-type mode role")
     p.add_argument("--hi", type=float, help="density for selected layers")
     p.add_argument("--lo", type=float, help="density for remaining layers")
-    p.add_argument("--model-id", default=None)
+    p.add_argument("--model-id", help="plan's model id (uniform/layer-type modes)")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("merge", help="merge checkpoints per a recipe or inline flags")
@@ -203,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", help="base checkpoint path")
     p.add_argument("--model", action="append", help="fine-tuned checkpoint (repeatable)")
     p.add_argument("--alpha", action="append", type=float, help="per-model scale (repeatable)")
-    p.add_argument("--method", choices=list(MERGE_METHODS), help="merge method (default ties)")
+    p.add_argument("--method", choices=list(MERGE_METHODS), help=f"merge method (default {MergeRecipe.method})")
     plans = p.add_mutually_exclusive_group()
     plans.add_argument("--plan", action="append", help="sparsity plan path, one per model")
     plans.add_argument("--density", type=float, help="uniform keep-density for all models")
-    p.add_argument("--seed", type=int, help="DARE drop seed (default 0)")
+    p.add_argument("--seed", type=int, help=f"DARE drop seed (default {MergeRecipe.seed})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 from pathlib import Path
 from typing import ClassVar
@@ -62,17 +63,12 @@ class Document:
             raise cls._error(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise cls._error(f"{path}: must be a JSON object, got {type(doc).__name__}")
-        fields = dataclasses.fields(cls)
-        known = [f.name for f in fields]
+        params = inspect.signature(cls).parameters  # the fields plus any InitVar, read but not saved
+        known = list(params)
         unknown = sorted(doc.keys() - set(known))
         if unknown:
             raise cls._error(f"{path}: unknown fields {unknown}; known: {known}")
-        missing = [
-            f.name for f in fields
-            if f.name not in doc
-            and f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING
-        ]
+        missing = [name for name, p in params.items() if name not in doc and p.default is p.empty]
         if missing:
             raise cls._error(f"{path}: missing required fields {missing}")
         try:

@@ -64,8 +64,8 @@ def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
 class SparsityBounds:
     """Keep-density bounds: 0 < gamma <= epsilon <= 1."""
 
-    gamma: float
-    epsilon: float
+    gamma: float = 0.5
+    epsilon: float = 0.8
 
     def __post_init__(self):
         if not (_is_real(self.gamma) and _is_real(self.epsilon)) or not (
@@ -91,6 +91,7 @@ class ActivationProfile(Document, error=ProfileMismatchError):
         n = self.num_samples
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise ProfileMismatchError(f"num_samples must be an int >= 1, got {n!r}")
+        self.num_samples = int(n)  # a numpy int would not save as JSON
         if self.norm_convention not in NORM_CONVENTIONS:
             raise ProfileMismatchError(
                 f"unknown norm_convention {self.norm_convention!r}; known: {list(NORM_CONVENTIONS)}"

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,18 +68,17 @@ class ArchConfig(Document, error=ArchError):
     num_heads: int = 2
     mlp_dim: int = 64
     max_seq_len: int = 128
-    naming_scheme: str = "toy"
+    naming_scheme: InitVar[str] = "toy"  # read from older files, never saved: the runtime reads toy names only
 
-    def __post_init__(self):
-        fields = ("vocab_size", "hidden_dim", "num_blocks", "num_heads", "mlp_dim", "max_seq_len")
-        for name in fields:
+    def __post_init__(self, naming_scheme):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if type(value) is not int:  # a float or bool size breaks shapes later
                 raise ArchError(f"{name} must be an int, got {value!r}")
             if value <= 0:
                 raise ArchError(f"{name} must be positive, got {value}")
-        if self.naming_scheme != "toy":  # the runtime reads toy tensor names only
-            raise ArchError(f"naming_scheme must be 'toy', got {self.naming_scheme!r}")
+        if naming_scheme != "toy":
+            raise ArchError(f"naming_scheme must be 'toy', got {naming_scheme!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ArchError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -166,9 +165,8 @@ class CalibrationSet:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise CalibrationError(f"{self.source}: no samples")
-        for i, sample in enumerate(self.samples, start=1):
-            if len(sample) == 0:
-                raise CalibrationError(f"{self.source}: sample {i} is empty")
+        for i, sample in enumerate(self.samples, start=1):  # ids are checked once a vocab size is known
+            _check_tokens(sample, None, label=f"{self.source}: sample {i}", error=CalibrationError)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -213,8 +211,7 @@ class CalibrationSet:
                 sample = tokenize(text, max_seq_len)
             else:
                 raise CalibrationError(f"{where}: record has neither 'text' nor 'tokens'")
-            if vocab_size is not None:
-                _check_tokens(sample, vocab_size, label=where, error=CalibrationError)
+            _check_tokens(sample, vocab_size, label=where, error=CalibrationError)
             samples.append(sample)
         if not samples:
             raise CalibrationError(f"{path}: no calibration records")
@@ -245,13 +242,14 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _check_tokens(
-    tokens: list[int], vocab_size: int, max_seq_len: int | None = None, min_tokens: int = 1,
+    tokens: list[int], vocab_size: int | None, max_seq_len: int | None = None, min_tokens: int = 1,
     label: str = "token sequence", error: type[MergeError] = ArchError,
 ) -> None:
     """The one token rule: raise `error` naming `label` unless the forward can take `tokens`.
 
     `tokens` must hold max(1, min_tokens) to `max_seq_len` ids, each an int in
     [0, vocab_size); a bool, float or string id gets the out-of-range message.
+    With no `vocab_size`, only the length is checked.
     """
     try:
         n = len(tokens)
@@ -263,8 +261,9 @@ def _check_tokens(
         raise error(f"{label} has {n} tokens, need >= {min_tokens}")
     if max_seq_len is not None and n > max_seq_len:
         raise error(f"{label} has {n} tokens, exceeds max_seq_len {max_seq_len}")
-    if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < vocab_size
-               for t in tokens):
+    if vocab_size is not None and not all(
+        isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < vocab_size for t in tokens
+    ):
         raise error(f"{label}: token ids must lie in [0, {vocab_size})")
 
 

@@ -1,10 +1,15 @@
 """End-to-end command-line flows and exit-code contract."""
 
+import io
 import json
 import math
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lewis
 from lewis.cli import main
@@ -80,6 +85,36 @@ class TestCapture:
         assert lewis.ActivationProfile.load(workspace / "p15.json").num_samples == 15
 
 
+# Each plan mode's flags, as the README states them: those it needs, then those it may take.
+PLAN_ROWS = {
+    "lewis-literal": ({"--profile", "--base-profile"}, {"--gamma", "--epsilon"}),
+    "lewis-minmax": ({"--profile", "--base-profile"}, {"--gamma", "--epsilon"}),
+    "uniform": ({"--density"}, {"--model-id"}),
+    "topk": ({"--profile", "--base-profile", "--k"}, {"--hi", "--lo"}),
+    "layer-type": ({"--role"}, {"--hi", "--lo", "--model-id"}),
+}
+# Valid values for each plan flag but the two profile paths.
+PLAN_VALUES = {
+    "--gamma": [0.3, 0.5], "--epsilon": [0.8, 0.95], "--density": [0.25, 1.0], "--k": [25.0, 100.0],
+    "--role": ["V", "MLP"], "--hi": [0.9, 1.0], "--lo": [0.01, 0.2], "--model-id": ["m7", "code model"],
+}
+PLAN_FLAGS = ["--profile", "--base-profile", *PLAN_VALUES]
+
+
+def _expected_plan(workspace, mode, values):
+    """The plan a direct builder call makes from `values` (flag -> value), with the defaults of the library."""
+    kw = {flag.removeprefix("--").replace("-", "_"): values[flag] for flag in PLAN_ROWS[mode][1] if flag in values}
+    if mode == "uniform":
+        return lewis.build_plan_uniform(values["--density"], **kw)
+    if mode == "layer-type":
+        return lewis.build_plan_layer_type(values["--role"], **kw)
+    fine = lewis.ActivationProfile.load(workspace / "fine.profile.json")
+    base = lewis.ActivationProfile.load(workspace / "base.profile.json")
+    if mode == "topk":
+        return lewis.build_plan_topk(lewis.importance_deltas(fine, base), values["--k"], model_id=fine.model_id, **kw)
+    return lewis.build_plan_lewis(fine, base, lewis.SparsityBounds(**kw), mode.removeprefix("lewis-"))
+
+
 class TestPlan:
     def _profiles(self, workspace):
         for tag in ("base", "fine"):
@@ -150,6 +185,54 @@ class TestPlan:
         assert run(["plan", "--mode", mode, *args, *flags, "--out", workspace / "p.json"]) == 0
         expected.save(workspace / "expected.json")
         assert (workspace / "p.json").read_bytes() == (workspace / "expected.json").read_bytes()
+
+    def test_flags_follow_the_mode_table(self, workspace):
+        """Exit 0 exactly when the flags hold every one the mode needs and none it does not read;
+        then the plan's bytes are a direct builder call's. Else exit 1 naming each such flag."""
+        self._profiles(workspace)
+        paths = {"--profile": workspace / "fine.profile.json", "--base-profile": workspace / "base.profile.json"}
+
+        @settings(max_examples=150, deadline=None)
+        @given(mode=st.sampled_from(list(PLAN_ROWS)), flags=st.sets(st.sampled_from(PLAN_FLAGS)), data=st.data())
+        def check(mode, flags, data):
+            values = {f: paths[f] if f in paths else data.draw(st.sampled_from(PLAN_VALUES[f])) for f in flags}
+            for out in ("p.json", "expected.json"):
+                (workspace / out).unlink(missing_ok=True)
+            argv = ["plan", "--mode", mode, *(str(x) for f in sorted(flags) for x in (f, values[f]))]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run([*argv, "--out", workspace / "p.json"])
+            needs, takes = PLAN_ROWS[mode]
+            missing, unread = needs - flags, flags - needs - takes
+            if not missing and not unread:
+                assert code == 0
+                _expected_plan(workspace, mode, values).save(workspace / "expected.json")
+                assert (workspace / "p.json").read_bytes() == (workspace / "expected.json").read_bytes()
+                return
+            assert code == 1 and not (workspace / "p.json").exists()
+            head = f"error: mode {mode} "
+            assert err.getvalue().startswith(head) and err.getvalue().endswith("\n")
+            said = {}
+            for part in err.getvalue()[len(head):-1].split("; "):
+                what, named = part.split(" --", 1)
+                said[what] = set(("--" + named).split(", "))
+            assert said == {what: fs for what, fs in (("needs", missing), ("does not read", unread)) if fs}
+
+        check()
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [(mode, flag) for mode, (needs, takes) in PLAN_ROWS.items() for flag in PLAN_FLAGS if flag not in needs | takes],
+    )
+    def test_flag_outside_the_mode_row_is_named(self, workspace, capsys, mode, flag):
+        paths = {"--profile": workspace / "fine.profile.json", "--base-profile": workspace / "base.profile.json"}
+        values = {f: paths[f] if f in paths else PLAN_VALUES[f][0] for f in (*PLAN_ROWS[mode][0], flag)}
+        self._profiles(workspace)
+        capsys.readouterr()
+        argv = ["plan", "--mode", mode, *(x for f, v in values.items() for x in (f, v)), "--out", workspace / "p.json"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: mode {mode} does not read {flag}\n"
+        assert not (workspace / "p.json").exists()
 
     def test_invalid_bounds_exit_one(self, workspace, capsys):
         self._profiles(workspace)
@@ -642,6 +725,21 @@ class TestInspectAndEval:
         out = capsys.readouterr().out
         assert "embed.weight" in out
         assert "Embedding" in out
+
+    def test_inspect_holds_one_tensor_at_a_time(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        tensors = {f"blocks.{i}.mlp.up.weight": rng.standard_normal((512, 512)) for i in range(16)}
+        lewis.write_checkpoint(lewis.Checkpoint(tensors), tmp_path / "big.safetensors")
+        float64_bytes = sum(arr.nbytes for arr in tensors.values())
+        del tensors
+        tracemalloc.start()
+        try:
+            assert run(["inspect", "--ckpt", tmp_path / "big.safetensors"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_bytes / 4
+        assert "blocks.15.mlp.up.weight" in capsys.readouterr().out
 
     def test_inspect_missing_file(self, workspace):
         code = run(["inspect", "--ckpt", workspace / "nope.safetensors"])

@@ -265,6 +265,12 @@ class TestPlanAndProfileFiles:
         loaded = ActivationProfile.load(tmp_path / "p.json")
         assert loaded == profile
 
+    def test_numpy_int_num_samples_saves_as_int(self, tmp_path):
+        profile = ActivationProfile("m", {0: 1.0}, np.int64(3))
+        assert type(profile.num_samples) is int
+        profile.save(tmp_path / "p.json")
+        assert ActivationProfile.load(tmp_path / "p.json") == profile
+
     def test_digests_match_pinned_values(self):
         """Digests reach merged metadata and plan provenance, so they must not drift.
 

@@ -570,8 +570,13 @@ class TestCalibrationFiles:
 
     @pytest.mark.parametrize(
         "samples, message",
-        [([], "unit: no samples"), ([[1], []], "unit: sample 2 is empty")],
-        ids=["no-samples", "empty-sample"],
+        [
+            ([], "unit: no samples"),
+            ([[1], []], "unit: sample 2 is empty"),
+            ([5], "unit: sample 1 must be a list of token ids, got int"),
+            ([[1, 2], None], "unit: sample 2 must be a list of token ids, got NoneType"),
+        ],
+        ids=["no-samples", "empty-sample", "int-sample", "none-sample"],
     )
     def test_empty_set_or_sample_is_calibration_error(self, samples, message):
         with pytest.raises(CalibrationError, match=f"^{message}$"):
@@ -589,6 +594,14 @@ class TestArchConfig:
         arch = ArchConfig(hidden_dim=16, num_heads=4, num_blocks=3)
         arch.save(tmp_path / "arch.json")
         assert ArchConfig.load(tmp_path / "arch.json") == arch
+
+    def test_naming_scheme_is_read_but_not_saved(self, tmp_path):
+        ArchConfig(hidden_dim=16, num_heads=4).save(tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        assert "naming_scheme" not in doc
+        (tmp_path / "old.json").write_text(json.dumps({**doc, "naming_scheme": "toy"}))
+        assert ArchConfig.load(tmp_path / "old.json") == ArchConfig.load(tmp_path / "new.json")
+        assert ArchConfig.naming_scheme == "toy" and ArchConfig().naming_scheme == "toy"
 
     def test_checkpoint_matches_shapes(self, small_arch):
         ckpt = random_checkpoint(small_arch, seed=70)
