@@ -55,10 +55,11 @@ def _cmd_capture(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.model, finite=True)
     check_checkpoint(ckpt, arch, args.model, output_layers=False)
     calib = CalibrationSet.from_file(args.calib, max_seq_len=arch.max_seq_len, vocab_size=arch.vocab_size)
-    model_id = args.model_id or derive_model_ids([args.model])[0]
-    profile = profile_model(ckpt, arch, calib, model_id=model_id, **_given(args, ["convention"]))
+    options = _given(args, ["convention", "model_id"])  # an empty --model-id given is the id
+    options.setdefault("model_id", derive_model_ids([args.model])[0])
+    profile = profile_model(ckpt, arch, calib, **options)
     profile.save(args.out)
-    print(f"profiled {model_id!r} on {len(calib)} samples ({profile.norm_convention})")
+    print(f"profiled {profile.model_id!r} on {len(calib)} samples ({profile.norm_convention})")
     _print_table(
         ["block", "norm"],
         [[str(layer), f"{profile.layer_norms[layer]:.6f}"] for layer in sorted(profile.layer_norms)],

@@ -16,6 +16,9 @@ bounds [gamma, epsilon]:
            the midpoint. Scale-free and non-degenerate, the practically
            useful mode.
 
+Both normalizations and topk read per-block scores under one rule
+(`_check_scores`): at least one block, and each score a finite real >= 0.
+
 Plan modes beyond the two lewis ones: uniform (single density everywhere),
 topk (top k% most-deviating blocks at a high density, rest low) and
 layer-type (one of Q/K/V/O/MLP kept dense, every other block tensor at a
@@ -52,12 +55,29 @@ def _check_density(value: float, what: str = "density", error: type[Exception] =
     return float(value)
 
 
+def _check_convention(convention: object) -> None:
+    """Raise ProfileMismatchError unless `convention` is a known norm convention."""
+    if convention not in NORM_CONVENTIONS:
+        raise ProfileMismatchError(f"unknown norm_convention {convention!r}; known: {list(NORM_CONVENTIONS)}")
+
+
 def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
     """`mapping` with its block-id keys (ints or decimal strings) made ints, else raise `error` naming `what`."""
     try:
         return {int(k): v for k, v in mapping.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise error(f"{what} must map block ids to values: {exc}") from exc
+
+
+def _check_scores(scores: Mapping[int, float]) -> None:
+    """The one rule for per-block scores: at least one, each a finite real >= 0; else PlanError naming the block."""
+    if not scores:
+        raise PlanError("importance scores are empty")
+    for layer, value in scores.items():
+        if _is_real(value) and value < 0:
+            raise PlanError(f"raw score for layer {layer} must be >= 0, got {value}")
+        if not (_is_real(value) and value <= sys.float_info.max):  # fails NaN, inf, huge ints
+            raise PlanError(f"raw score for layer {layer} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,11 +112,10 @@ class ActivationProfile(Document, error=ProfileMismatchError):
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise ProfileMismatchError(f"num_samples must be an int >= 1, got {n!r}")
         self.num_samples = int(n)  # a numpy int would not save as JSON
-        if self.norm_convention not in NORM_CONVENTIONS:
-            raise ProfileMismatchError(
-                f"unknown norm_convention {self.norm_convention!r}; known: {list(NORM_CONVENTIONS)}"
-            )
+        _check_convention(self.norm_convention)
         self.layer_norms = _by_block(self.layer_norms, "layer_norms", ProfileMismatchError)
+        if not self.layer_norms:  # a plan needs at least one block to set densities from
+            raise ProfileMismatchError("layer_norms must hold at least one block")
         ids = sorted(self.layer_norms)
         if ids != list(range(len(ids))):
             raise ProfileMismatchError(f"layer ids must be contiguous 0..L-1, got {ids}")
@@ -209,9 +228,7 @@ def normalize_and_clip(
     """
     if mode not in ("literal", "minmax"):
         raise PlanError(f"unknown normalization mode {mode!r}")
-    for layer, value in raw.items():
-        if value < 0 or math.isnan(value):
-            raise PlanError(f"raw score for layer {layer} must be >= 0, got {value}")
+    _check_scores(raw)
     layers = sorted(raw)
     if mode == "literal":
         total = float(sum(raw[l] for l in layers))
@@ -263,10 +280,9 @@ def build_plan_topk(
 
     Ties broken toward the lower block index.
     """
-    if not scores:
-        raise PlanError("importance scores are empty")
-    if not (0.0 < k_percent <= 100.0):
-        raise PlanError(f"k_percent must lie in (0, 100], got {k_percent}")
+    _check_scores(scores)
+    if not (_is_real(k_percent) and 0.0 < k_percent <= 100.0):
+        raise PlanError(f"k_percent must be a number in (0, 100], got {k_percent!r}")
     _check_density(hi, "hi density", PlanError)
     _check_density(lo, "lo density", PlanError)
     layers = sorted(scores)

@@ -27,14 +27,17 @@ Inputs are checked once per call, before any arithmetic. `forward_capture`
 checks the tensors it reads (`check_checkpoint`, the one weight rule) and
 the tokens (`_check_tokens`, the one token rule); `forward_logits` also
 checks `final_norm` and `head`. The blocks then read their weights
-unchecked. `profile_model` and `eval_loss` check every sample with the
-same token rule, naming the first bad one, before any forward runs. Then
-they run one sample's forward per worker thread on the cores BLAS leaves
-idle (numpy's matmuls and elementwise loops release the GIL); the calling
-thread is one of the workers (`parallel.map_in_order`). Each worker returns that
-sample's block norms or summed loss, and the calling thread adds them up
-in sample order, exactly as a one-worker loop would, so results do not
-depend on the worker count or on which worker finishes first.
+unchecked. `profile_model` and `eval_loss` differ only in their
+per-sample function; both run it through one calibration pass
+(`_sample_sum`). The pass checks every sample with the same token rule,
+naming the first bad one, before any forward runs (`profile_model` checks
+its norm convention before that). Then it runs one sample's forward per
+worker thread on the cores BLAS leaves idle (numpy's matmuls and
+elementwise loops release the GIL); the calling thread is one of the
+workers (`parallel.map_in_order`). Each worker returns that sample's block
+norms or summed loss, and the calling thread adds them up in sample order,
+exactly as a one-worker loop would, so results do not depend on the worker
+count or on which worker finishes first.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from scipy.special import erf
 from .checkpoint import Checkpoint, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError, MergeError
-from .importance import NORM_CONVENTIONS, ActivationProfile
+from .importance import NORM_CONVENTIONS, ActivationProfile, _check_convention
 from .parallel import map_in_order
 
 _RMS_EPS = 1e-6
@@ -146,10 +149,12 @@ def random_checkpoint(arch: ArchConfig, seed: int, scale: float = 0.05) -> Check
 # --------------------------------------------------------------------------- #
 
 def tokenize(text: str | bytes, max_seq_len: int | None = None) -> list[int]:
-    """Byte-level tokens (one per byte), truncated to max_seq_len."""
-    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
+    """Byte-level tokens (one per byte) of a non-empty str or bytes, truncated to max_seq_len."""
+    if not isinstance(text, (str, bytes)):
+        raise CalibrationError(f"cannot tokenize {type(text).__name__}: input must be str or bytes")
+    data = text.encode("utf-8") if isinstance(text, str) else text
     if len(data) == 0:
-        raise ValueError("cannot tokenize empty input")
+        raise CalibrationError("cannot tokenize empty input")
     if max_seq_len is not None:
         data = data[:max_seq_len]
     return list(data)
@@ -163,6 +168,8 @@ class CalibrationSet:
     source: str = "calibration set"  # named in errors; from_file sets it to the path
 
     def __post_init__(self):
+        if not isinstance(self.samples, list):  # a str would pass as one-character samples
+            raise CalibrationError(f"{self.source}: samples must be a list, got {type(self.samples).__name__}")
         if len(self.samples) == 0:
             raise CalibrationError(f"{self.source}: no samples")
         for i, sample in enumerate(self.samples, start=1):  # ids are checked once a vocab size is known
@@ -324,14 +331,6 @@ def activation_norm(block_output: np.ndarray, convention: str = "mean-token-l2")
     raise ValueError(f"unknown norm convention {convention!r}; known: {list(NORM_CONVENTIONS)}")
 
 
-def _check_samples(arch: ArchConfig, calib: CalibrationSet, min_tokens: int = 1) -> None:
-    """Raise CalibrationError naming the source and the first sample the forward cannot take."""
-    for i, sample in enumerate(calib.samples, start=1):
-        _check_tokens(
-            sample, arch.vocab_size, arch.max_seq_len, min_tokens, f"{calib.source}: sample {i}", CalibrationError
-        )
-
-
 def _forward_workers(num_samples: int) -> int:
     """Worker threads for a calibration pass: the cores BLAS leaves idle, at most one per sample.
 
@@ -349,9 +348,17 @@ def _forward_workers(num_samples: int) -> int:
     return max(1, min(num_samples, len(os.sched_getaffinity(0)) // blas))
 
 
-def _map_samples(fn: Callable[[list[int]], object], samples: list[list[int]]) -> list:
-    """`[fn(s) for s in samples]`, in sample order, one sample per worker thread at a time."""
-    return map_in_order(fn, samples, _forward_workers(len(samples)))
+def _sample_sum(fn: Callable[[list[int]], object], arch: ArchConfig, calib: CalibrationSet, min_tokens: int = 1):
+    """The calibration pass: every sample checked, then `fn(sample)` run on the forward
+    workers and added up in sample order by a plain loop (sum() may round differently)."""
+    for i, sample in enumerate(calib.samples, start=1):
+        _check_tokens(
+            sample, arch.vocab_size, arch.max_seq_len, min_tokens, f"{calib.source}: sample {i}", CalibrationError
+        )
+    total = 0.0
+    for value in map_in_order(fn, calib.samples, _forward_workers(len(calib.samples))):
+        total = total + value
+    return total
 
 
 def profile_model(
@@ -362,17 +369,14 @@ def profile_model(
     model_id: str = "",
 ) -> ActivationProfile:
     """Mean activation norm per block over the calibration samples."""
-    _check_samples(arch, calib)
+    _check_convention(convention)
 
     def block_norms(sample: list[int]) -> np.ndarray:
         return np.array([activation_norm(h, convention) for h in forward_capture(ckpt, arch, sample)])
 
     # Sized by the forward pass, not arch.num_blocks: a checkpoint that lacks
     # a block fails there before a huge num_blocks could allocate anything.
-    totals = 0.0
-    for norms in _map_samples(block_norms, calib.samples):
-        totals = totals + norms
-    norms = totals / len(calib.samples)
+    norms = _sample_sum(block_norms, arch, calib) / len(calib.samples)
     return ActivationProfile(
         model_id=model_id,
         layer_norms={layer: float(norm) for layer, norm in enumerate(norms)},
@@ -383,8 +387,6 @@ def profile_model(
 
 def eval_loss(ckpt: Checkpoint, arch: ArchConfig, calib: CalibrationSet) -> float:
     """Mean next-token cross-entropy over all positions of all samples."""
-    _check_samples(arch, calib, min_tokens=2)
-
     def summed_nll(sample: list[int]) -> float:
         logits = forward_logits(ckpt, arch, sample)[:-1]
         targets = np.asarray(sample[1:], dtype=np.int64)
@@ -393,7 +395,4 @@ def eval_loss(ckpt: Checkpoint, arch: ArchConfig, calib: CalibrationSet) -> floa
         nll = log_z - shifted[np.arange(targets.size), targets]
         return float(nll.sum())
 
-    total = 0.0
-    for nll in _map_samples(summed_nll, calib.samples):  # a plain loop: sum() may reorder rounding
-        total += nll
-    return total / sum(len(sample) - 1 for sample in calib.samples)
+    return _sample_sum(summed_nll, arch, calib, min_tokens=2) / sum(len(sample) - 1 for sample in calib.samples)

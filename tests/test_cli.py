@@ -73,6 +73,17 @@ class TestCapture:
             ])
         assert exc.value.code == 2
 
+    def test_empty_model_id_is_the_id(self, workspace, capsys):
+        """An empty --model-id that the user gave is the id, as `lewis plan` reads it."""
+        for given, expected in ((["--model-id", ""], ""), ([], "base")):
+            code = run([
+                "capture", "--model", workspace / "base.safetensors", "--arch", workspace / "arch.json",
+                "--calib", workspace / "calib.jsonl", "--out", workspace / "p.json", *given,
+            ])
+            assert code == 0
+            assert lewis.ActivationProfile.load(workspace / "p.json").model_id == expected
+            assert capsys.readouterr().out.startswith(f"profiled {expected!r} on 2 samples")
+
     def test_fifteen_sample_calibration(self, workspace, small_arch):
         calib = lewis.CalibrationSet(samples=[[i + 1, i + 2, i + 3] for i in range(15)])
         calib.save(workspace / "c15.jsonl")
@@ -233,6 +244,15 @@ class TestPlan:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: mode {mode} does not read {flag}\n"
         assert not (workspace / "p.json").exists()
+
+    @pytest.mark.parametrize("mode, flags", [("lewis-literal", []), ("lewis-minmax", []), ("topk", ["--k", "50"])])
+    def test_profile_without_blocks_is_named_error(self, workspace, capsys, mode, flags):
+        path = workspace / "empty.profile.json"
+        path.write_text(json.dumps({"model_id": "m", "layer_norms": {}, "num_samples": 1}))
+        code = run(["plan", "--mode", mode, "--profile", path, "--base-profile", path, *flags,
+                    "--out", workspace / "plan.json"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: layer_norms must hold at least one block\n"
 
     def test_invalid_bounds_exit_one(self, workspace, capsys):
         self._profiles(workspace)

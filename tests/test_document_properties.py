@@ -53,6 +53,10 @@ KINDS = {
     ),
 }
 
+# The literal normalization divides by the block count and the score sum, so it has faults of its own.
+KINDS["profile-literal"] = (*KINDS["profile"][:3], lambda ws, doc: [
+    "plan", "--mode", "lewis-literal", "--profile", doc, "--base-profile", doc, "--out", ws / "plan.json"])
+
 HUGE_INTS = st.sampled_from([10**400, -(10**400), 2**63, 2**64, 10**12])
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
 

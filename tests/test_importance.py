@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,39 @@ class TestNormalizeAndClip:
     def test_unknown_mode(self):
         with pytest.raises(PlanError):
             normalize_and_clip({0: 1.0}, SparsityBounds(0.3, 0.8), "softmax")
+
+
+# Each breach of the score rule, and the block its message names.
+BAD_SCORES = {
+    "nan": ({0: math.nan, 1: 1.0, 2: 0.5}, "raw score for layer 0 must be a finite number >= 0, got nan"),
+    "inf": ({0: 1.0, 1: math.inf}, "raw score for layer 1 must be a finite number >= 0, got inf"),
+    "str": ({0: "x"}, "raw score for layer 0 must be a finite number >= 0, got 'x'"),
+    "none": ({0: 1.0, 1: None}, "raw score for layer 1 must be a finite number >= 0, got None"),
+    "bool": ({0: True}, "raw score for layer 0 must be a finite number >= 0, got True"),
+    "huge-int": ({0: 10**400}, "raw score for layer 0 must be a finite number >= 0, got 1000"),
+    "negative": ({0: 1.0, 1: -1.0}, "raw score for layer 1 must be >= 0, got -1.0"),
+    "empty": ({}, "importance scores are empty"),
+}
+SCORE_READERS = {
+    "literal": lambda scores: normalize_and_clip(scores, SparsityBounds(0.3, 0.8), "literal"),
+    "minmax": lambda scores: normalize_and_clip(scores, SparsityBounds(0.3, 0.8), "minmax"),
+    "topk": lambda scores: build_plan_topk(scores, 34.0),
+}
+
+
+class TestScoreRule:
+    @pytest.mark.parametrize("reader", list(SCORE_READERS))
+    @pytest.mark.parametrize("case", list(BAD_SCORES))
+    def test_breach_is_plan_error_naming_the_block(self, reader, case):
+        scores, message = BAD_SCORES[case]
+        with pytest.raises(PlanError) as info:
+            SCORE_READERS[reader](scores)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("k", ["5", None, True], ids=["str", "none", "bool"])
+    def test_k_percent_must_be_a_number(self, k):
+        with pytest.raises(PlanError, match=r"^k_percent must be a number in \(0, 100\], got "):
+            build_plan_topk({0: 1.0}, k)
 
 
 class TestSparsityBounds:
@@ -311,6 +345,14 @@ class TestPlanAndProfileFiles:
         assert plan.densities == {}
         with pytest.raises(PlanError):
             build_plan_uniform(1.5)
+
+    def test_profile_needs_a_block(self, tmp_path):
+        with pytest.raises(ProfileMismatchError, match="^layer_norms must hold at least one block$"):
+            ActivationProfile("m", {}, 1)
+        path = tmp_path / "p.json"
+        path.write_text('{"model_id": "m", "layer_norms": {}, "num_samples": 1}')
+        with pytest.raises(ProfileMismatchError, match=f"^{re.escape(str(path))}: layer_norms must hold at least one block$"):
+            ActivationProfile.load(path)
 
     def test_profile_validation(self):
         with pytest.raises(ProfileMismatchError):

@@ -25,7 +25,7 @@ from lewis import (
     zero_checkpoint,
 )
 from lewis import runtime
-from lewis.errors import ArchError, CalibrationError
+from lewis.errors import ArchError, CalibrationError, ProfileMismatchError
 from lewis.runtime import (
     _forward_workers,
     _gelu,
@@ -50,6 +50,11 @@ class TestTokenize:
 
     def test_bytes_input(self):
         assert tokenize(b"\x00\xff") == [0, 255]
+
+    @pytest.mark.parametrize("text", [5, None, [72, 105]], ids=["int", "none", "list"])
+    def test_only_str_or_bytes(self, text):
+        with pytest.raises(CalibrationError, match=f"^cannot tokenize {type(text).__name__}: input must be str or bytes$"):
+            tokenize(text)
 
 
 class TestForwardCapture:
@@ -364,6 +369,13 @@ class TestProfileModel:
         for layer in a.layer_norms:
             assert a.layer_norms[layer] == pytest.approx(b.layer_norms[layer], abs=1e-9)
 
+    def test_bad_convention_named_before_any_forward(self, monkeypatch, small_arch):
+        forwards = []
+        monkeypatch.setattr(runtime, "forward_capture", lambda *args: forwards.append(args))
+        with pytest.raises(ProfileMismatchError, match=r"^unknown norm_convention 'l1'; known: \["):
+            profile_model(zero_checkpoint(small_arch), small_arch, CalibrationSet([[1, 2]]), convention="l1")
+        assert forwards == []
+
     def test_convention_recorded(self, small_arch):
         ckpt = random_checkpoint(small_arch, seed=65)
         calib = CalibrationSet(samples=[[1, 2]])
@@ -575,8 +587,11 @@ class TestCalibrationFiles:
             ([[1], []], "unit: sample 2 is empty"),
             ([5], "unit: sample 1 must be a list of token ids, got int"),
             ([[1, 2], None], "unit: sample 2 must be a list of token ids, got NoneType"),
+            (5, "unit: samples must be a list, got int"),
+            (None, "unit: samples must be a list, got NoneType"),
+            ("ab", "unit: samples must be a list, got str"),
         ],
-        ids=["no-samples", "empty-sample", "int-sample", "none-sample"],
+        ids=["no-samples", "empty-sample", "int-sample", "none-sample", "int-set", "none-set", "str-set"],
     )
     def test_empty_set_or_sample_is_calibration_error(self, samples, message):
         with pytest.raises(CalibrationError, match=f"^{message}$"):

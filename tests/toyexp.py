@@ -6,17 +6,25 @@ set drawn from A's own greedy continuations so the calibration task is
 correlated with A's deltas. Planted deltas are sign-random with constant
 magnitude so trimming at density d keeps exactly a d fraction of their
 energy.
+
+`run_trial` compares the guided merge with uniform density 0.5, which keeps
+fewer parameters than the guided plans do (their densities lie in
+[0.5, 0.8]). `run_controls` adds two controls on the same models and
+calibration set that keep the guided plans' parameter budget: a uniform
+plan at that budget, and the guided plan with its block densities handed
+out in reverse rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import lewis
-from lewis.runtime import forward_logits
+from lewis.runtime import forward_logits, tensor_shapes
 
 EXPERIMENT_ARCH = lewis.ArchConfig(
     vocab_size=256, hidden_dim=32, num_blocks=4, num_heads=4, mlp_dim=64, max_seq_len=48
@@ -115,3 +123,71 @@ def run_trial(seed: int, workdir: Path) -> TrialResult:
         guided_path=guided_path,
         uniform_path=uniform_path,
     )
+
+
+def trial_inputs(seed: int) -> tuple[lewis.Checkpoint, lewis.Checkpoint, lewis.Checkpoint, lewis.CalibrationSet]:
+    """The base, A, B and calibration set that `run_trial` builds for `seed`, drawn in the same order."""
+    arch = EXPERIMENT_ARCH
+    rng = np.random.default_rng(seed)
+    base = lewis.random_checkpoint(arch, seed=seed, scale=0.08)
+    model_a = perturb_blocks(base, {0, 1}, scale=0.3, rng=rng)
+    model_b = perturb_blocks(base, {2, 3}, scale=0.08, rng=rng)
+    return base, model_a, model_b, greedy_calibration(model_a, arch, rng)
+
+
+def parameter_budget(plan: lewis.SparsityPlan) -> float:
+    """The plan's keep-density weighted by each tensor's element count, as `lewis merge` reports it."""
+    roles = lewis.role_classifier("toy")
+    sizes = {name: math.prod(shape) for name, shape in tensor_shapes(EXPERIMENT_ARCH).items()}
+    return sum(plan.density_for(roles(name), name) * size for name, size in sizes.items()) / sum(sizes.values())
+
+
+def reversed_plan(plan: lewis.SparsityPlan) -> lewis.SparsityPlan:
+    """`plan` with its block densities in reverse rank: its densest block gets its sparsest density.
+
+    Ties rank by block index. Every block has the same size, so the budget is unchanged.
+    """
+    ranked = sorted(plan.densities, key=lambda block: (plan.densities[block], block))
+    return lewis.SparsityPlan(
+        model_id=plan.model_id,
+        mode=plan.mode,
+        densities={block: plan.densities[other] for block, other in zip(ranked, reversed(ranked))},
+        default_density=plan.default_density,
+        bounds=plan.bounds,
+    )
+
+
+@dataclass
+class Controls:
+    """Per-model plans and merged calibration loss for each arm: guided, uniform (0.5), matched, reversed."""
+
+    plans: dict[str, list[lewis.SparsityPlan]]
+    losses: dict[str, float]
+
+
+def run_controls(seed: int, workdir: Path, method: str = "ties") -> Controls:
+    """`run_trial`'s guided and uniform merges beside the two matched-budget controls, by `method`."""
+    arch = EXPERIMENT_ARCH
+    base, model_a, model_b, calib = trial_inputs(seed)
+    profile_base = lewis.profile_model(base, arch, calib, model_id="base")
+    guided = [
+        lewis.build_plan_lewis(
+            lewis.profile_model(model, arch, calib, model_id=model_id), profile_base, EXPERIMENT_BOUNDS, mode="minmax"
+        )
+        for model_id, model in (("A", model_a), ("B", model_b))
+    ]
+    paths = []
+    for name, ckpt in (("base", base), ("A", model_a), ("B", model_b)):
+        paths.append(workdir / f"{name}.safetensors")
+        lewis.write_checkpoint(ckpt, paths[-1])
+    recipe = lewis.MergeRecipe(
+        base_path=str(paths[0]), model_paths=[str(p) for p in paths[1:]], method=method, seed=seed
+    )
+    plans = {
+        "guided": guided,
+        "uniform": [lewis.build_plan_uniform(0.5, plan.model_id) for plan in guided],
+        "matched": [lewis.build_plan_uniform(parameter_budget(plan), plan.model_id) for plan in guided],
+        "reversed": [reversed_plan(plan) for plan in guided],
+    }
+    losses = {arm: lewis.eval_loss(lewis.merge(recipe, arm_plans), arch, calib) for arm, arm_plans in plans.items()}
+    return Controls(plans, losses)
