@@ -127,13 +127,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
     roles = role_classifier(detect_naming_scheme(merged.names()))
     sizes = {name: merged[name].size for name in merged.names()}
-    total = sum(sizes.values()) or 1  # a merge without tensors keeps nothing
     print(f"merged {len(recipe.model_paths)} model(s) via {recipe.method} -> {args.out}")
-    rows = []
-    for model_id, plan in zip(model_ids, plans):
-        # The parameter budget: each tensor's density weighted by its element count.
-        kept = sum(plan.density_for(roles(name), name) * size for name, size in sizes.items())
-        rows.append([model_id, plan.mode, f"{kept / total:.4f}"])
+    rows = [[model_id, plan.mode, f"{plan.budget(sizes, roles):.4f}"] for model_id, plan in zip(model_ids, plans)]
     _print_table(["model", "plan", "mean density"], rows)
     print(f"tensors: {len(merged)}  method: {recipe.method}  seed: {recipe.seed}")
     return 0

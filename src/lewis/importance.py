@@ -17,7 +17,8 @@ bounds [gamma, epsilon]:
            useful mode.
 
 Both normalizations and topk read per-block scores under one rule
-(`_check_scores`): at least one block, and each score a finite real >= 0.
+(`_check_scores`): at least one block, each block id an int, and each score
+a finite real >= 0.
 
 Plan modes beyond the two lewis ones: uniform (single density everywhere),
 topk (top k% most-deviating blocks at a high density, rest low) and
@@ -31,7 +32,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .documents import Document
 from .errors import PlanError, ProfileMismatchError
@@ -44,6 +45,11 @@ NORM_CONVENTIONS = ("mean-token-l2", "frobenius")
 
 def _is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_real(value: object) -> bool:
+    """A real (not a bool) of magnitude at most float max: fails NaN, inf and ints beyond the float range."""
+    return _is_real(value) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _check_density(value: float, what: str = "density", error: type[Exception] = ValueError) -> float:
@@ -70,13 +76,15 @@ def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
 
 
 def _check_scores(scores: Mapping[int, float]) -> None:
-    """The one rule for per-block scores: at least one, each a finite real >= 0; else PlanError naming the block."""
+    """The one rule for per-block scores: at least one, each an int block id to a finite real >= 0; else PlanError."""
     if not scores:
         raise PlanError("importance scores are empty")
     for layer, value in scores.items():
+        if not isinstance(layer, numbers.Integral) or isinstance(layer, bool):  # ids sort and index as ints
+            raise PlanError(f"block id {layer!r} must be an int")
         if _is_real(value) and value < 0:
             raise PlanError(f"raw score for layer {layer} must be >= 0, got {value}")
-        if not (_is_real(value) and value <= sys.float_info.max):  # fails NaN, inf, huge ints
+        if not _is_finite_real(value):
             raise PlanError(f"raw score for layer {layer} must be a finite number >= 0, got {value!r}")
 
 
@@ -120,7 +128,7 @@ class ActivationProfile(Document, error=ProfileMismatchError):
         if ids != list(range(len(ids))):
             raise ProfileMismatchError(f"layer ids must be contiguous 0..L-1, got {ids}")
         for layer, value in self.layer_norms.items():
-            if not (_is_real(value) and 0.0 <= value <= sys.float_info.max):  # fails NaN, inf, huge ints
+            if not (_is_finite_real(value) and value >= 0.0):
                 raise ProfileMismatchError(
                     f"layer_norms: layer {layer} norm must be a finite number >= 0, got {value!r}"
                 )
@@ -193,6 +201,11 @@ class SparsityPlan(Document, error=PlanError):
                 )
             raise PlanError(f"plan has no default_density for non-block tensor{where}")
         return self.default_density
+
+    def budget(self, sizes: Mapping[str, int], roles: Callable[[str], TensorRole]) -> float:
+        """Parameter budget Σ dₜnₜ / Σ nₜ over the tensors in `sizes` (name -> element count); 0 for none."""
+        kept = sum(self.density_for(roles(name), name) * size for name, size in sizes.items())
+        return kept / (sum(sizes.values()) or 1)
 
 
 # --------------------------------------------------------------------------- #

@@ -54,7 +54,7 @@ from scipy.special import erf
 from .checkpoint import Checkpoint, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError, MergeError
-from .importance import NORM_CONVENTIONS, ActivationProfile, _check_convention
+from .importance import ActivationProfile, _check_convention
 from .parallel import map_in_order
 
 _RMS_EPS = 1e-6
@@ -148,8 +148,15 @@ def random_checkpoint(arch: ArchConfig, seed: int, scale: float = 0.05) -> Check
 # tokens and calibration data
 # --------------------------------------------------------------------------- #
 
+def _check_max_seq_len(max_seq_len: object) -> None:
+    """Raise CalibrationError unless `max_seq_len` is None (no truncation) or an int >= 1."""
+    if max_seq_len is not None and not (type(max_seq_len) is int and max_seq_len >= 1):
+        raise CalibrationError(f"max_seq_len must be an int >= 1 or None, got {max_seq_len!r}")
+
+
 def tokenize(text: str | bytes, max_seq_len: int | None = None) -> list[int]:
     """Byte-level tokens (one per byte) of a non-empty str or bytes, truncated to max_seq_len."""
+    _check_max_seq_len(max_seq_len)
     if not isinstance(text, (str, bytes)):
         raise CalibrationError(f"cannot tokenize {type(text).__name__}: input must be str or bytes")
     data = text.encode("utf-8") if isinstance(text, str) else text
@@ -186,8 +193,10 @@ class CalibrationSet:
 
         A malformed record, a token id outside [0, vocab_size) when a vocab
         size is given, or a file without any record raises CalibrationError
-        naming the path, the 1-based line number and the field.
+        naming the path, the 1-based line number and the field; so does a
+        `max_seq_len` that is not None or an int >= 1.
         """
+        _check_max_seq_len(max_seq_len)
         try:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError as exc:
@@ -324,11 +333,10 @@ def forward_logits(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> np.
 
 def activation_norm(block_output: np.ndarray, convention: str = "mean-token-l2") -> float:
     """Scalar summary of one block-output matrix under a norm convention."""
-    if convention == "mean-token-l2":
-        return float(np.mean(np.linalg.norm(block_output, axis=-1)))
+    _check_convention(convention)
     if convention == "frobenius":
         return float(np.linalg.norm(block_output))
-    raise ValueError(f"unknown norm convention {convention!r}; known: {list(NORM_CONVENTIONS)}")
+    return float(np.mean(np.linalg.norm(block_output, axis=-1)))
 
 
 def _forward_workers(num_samples: int) -> int:

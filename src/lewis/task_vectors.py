@@ -8,7 +8,6 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .documents import Document
 from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError
-from .importance import _check_density, _is_real
+from .importance import _check_density, _is_finite_real, _is_real
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
 
@@ -144,20 +143,15 @@ class MergeRecipe(Document, error=RecipeError):
             raise RecipeError(f"model_paths must be a list of paths, got {self.model_paths!r}")
         if not self.model_paths:
             raise RecipeError("recipe needs at least one model")
-        if not isinstance(self.alphas, list) or not all(map(_is_real, self.alphas)):
-            raise RecipeError(f"alphas must be a list of numbers, got {self.alphas!r}")
+        if not isinstance(self.alphas, list) or not all(map(_is_finite_real, self.alphas)):
+            raise RecipeError(f"alphas must be a list of finite numbers, got {self.alphas!r}")
         if not self.alphas:
             self.alphas = [1.0] * len(self.model_paths)
         if len(self.alphas) != len(self.model_paths):
             raise RecipeError(
                 f"{len(self.model_paths)} models but {len(self.alphas)} alphas"
             )
-        try:
-            self.alphas = [float(a) for a in self.alphas]
-        except OverflowError as exc:  # an int beyond the float range
-            raise RecipeError(f"alphas must be finite: {exc}") from exc
-        if any(not math.isfinite(a) for a in self.alphas):
-            raise RecipeError(f"alphas must be finite, got {self.alphas}")
+        self.alphas = [float(a) for a in self.alphas]
         if self.method not in MERGE_METHODS:
             raise RecipeError(f"unknown method {self.method!r}; known: {list(MERGE_METHODS)}")
         refs = self.plan_refs

@@ -144,6 +144,7 @@ BAD_SCORES = {
     "huge-int": ({0: 10**400}, "raw score for layer 0 must be a finite number >= 0, got 1000"),
     "negative": ({0: 1.0, 1: -1.0}, "raw score for layer 1 must be >= 0, got -1.0"),
     "empty": ({}, "importance scores are empty"),
+    "str-block-id": ({0: 1.0, "a": 2.0}, "block id 'a' must be an int"),
 }
 SCORE_READERS = {
     "literal": lambda scores: normalize_and_clip(scores, SparsityBounds(0.3, 0.8), "literal"),
@@ -277,6 +278,19 @@ class TestBuildPlanLayerType:
     def test_invalid_role(self):
         with pytest.raises(PlanError):
             build_plan_layer_type("Embedding")
+
+
+class TestBudget:
+    def test_weights_each_tensor_density_by_its_size(self):
+        """Role override (MLP 1.0) over block density, block densities, default for the embedding."""
+        plan = SparsityPlan("m", "lewis-minmax", {0: 0.8, 1: 0.5}, default_density=0.6, role_overrides={"MLP": 1.0})
+        sizes = {"embed.weight": 16, "blocks.0.attn.wq.weight": 64, "blocks.1.mlp.up.weight": 32,
+                 "blocks.1.attn.wk.weight": 8}
+        expected = (16 * 0.6 + 64 * 0.8 + 32 * 1.0 + 8 * 0.5) / 120
+        assert plan.budget(sizes, lewis.role_classifier("toy")) == pytest.approx(expected, abs=1e-15)
+
+    def test_no_tensors_is_zero(self):
+        assert build_plan_uniform(0.5).budget({}, lewis.role_classifier("toy")) == 0.0
 
 
 class TestPlanAndProfileFiles:

@@ -51,6 +51,11 @@ class TestTokenize:
     def test_bytes_input(self):
         assert tokenize(b"\x00\xff") == [0, 255]
 
+    @pytest.mark.parametrize("max_seq_len", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
+    def test_max_seq_len_must_be_a_positive_int(self, max_seq_len):
+        with pytest.raises(CalibrationError, match=f"^max_seq_len must be an int >= 1 or None, got {max_seq_len!r}$"):
+            tokenize("abc", max_seq_len)
+
     @pytest.mark.parametrize("text", [5, None, [72, 105]], ids=["int", "none", "list"])
     def test_only_str_or_bytes(self, text):
         with pytest.raises(CalibrationError, match=f"^cannot tokenize {type(text).__name__}: input must be str or bytes$"):
@@ -332,7 +337,7 @@ class TestActivationNorm:
         assert activation_norm(block, "frobenius") == pytest.approx(5.0)
 
     def test_unknown_convention(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProfileMismatchError, match=r"^unknown norm_convention 'nuclear'; known: \["):
             activation_norm(np.ones((2, 2)), "nuclear")
 
 
@@ -555,6 +560,14 @@ class TestCalibrationFiles:
         path.write_text('{"tokens": [1, 2, 3, 4, 5]}\n')
         calib = CalibrationSet.from_file(path, max_seq_len=2)
         assert calib.samples == [[1, 2]]
+
+    @pytest.mark.parametrize("record", [{"tokens": [1, 2, 3]}, {"text": "abc"}], ids=["tokens", "text"])
+    @pytest.mark.parametrize("max_seq_len", [0, -1], ids=["zero", "negative"])
+    def test_max_seq_len_must_be_a_positive_int(self, tmp_path, record, max_seq_len):
+        path = tmp_path / "calib.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CalibrationError, match=f"^max_seq_len must be an int >= 1 or None, got {max_seq_len}$"):
+            CalibrationSet.from_file(path, max_seq_len=max_seq_len)
 
     @pytest.mark.parametrize("record", [{"text": "ok~"}, {"tokens": [5, 126]}, {"tokens": [-1]}])
     def test_token_outside_vocab_names_line(self, tmp_path, record):

@@ -7,12 +7,13 @@ correlated with A's deltas. Planted deltas are sign-random with constant
 magnitude so trimming at density d keeps exactly a d fraction of their
 energy.
 
-`run_trial` compares the guided merge with uniform density 0.5, which keeps
-fewer parameters than the guided plans do (their densities lie in
-[0.5, 0.8]). `run_controls` adds two controls on the same models and
-calibration set that keep the guided plans' parameter budget: a uniform
+`run_controls` is the one driver: it profiles and plans once, then merges
+and scores each arm it is asked for on the same models and calibration set.
+The arms are the guided plans; uniform density 0.5, which keeps fewer
+parameters than the guided plans do (their densities lie in [0.5, 0.8]);
+and two controls that keep the guided plans' parameter budget: a uniform
 plan at that budget, and the guided plan with its block densities handed
-out in reverse rank.
+out in reverse rank. `run_trial` is its guided and uniform arms by TIES.
 """
 
 from __future__ import annotations
@@ -63,70 +64,8 @@ def greedy_calibration(
     return lewis.CalibrationSet(samples=samples, source="greedy-from-A")
 
 
-@dataclass
-class TrialResult:
-    argmax_block: int
-    guided_loss: float
-    uniform_loss: float
-    plan_a: lewis.SparsityPlan
-    plan_b: lewis.SparsityPlan
-    guided_path: Path
-    uniform_path: Path
-
-
-def run_trial(seed: int, workdir: Path) -> TrialResult:
-    """One full pipeline run: build models, calibrate, plan, merge both ways."""
-    arch = EXPERIMENT_ARCH
-    rng = np.random.default_rng(seed)
-    base = lewis.random_checkpoint(arch, seed=seed, scale=0.08)
-    model_a = perturb_blocks(base, {0, 1}, scale=0.3, rng=rng)
-    model_b = perturb_blocks(base, {2, 3}, scale=0.08, rng=rng)
-    calib = greedy_calibration(model_a, arch, rng)
-
-    profile_base = lewis.profile_model(base, arch, calib, model_id="base")
-    profile_a = lewis.profile_model(model_a, arch, calib, model_id="A")
-    profile_b = lewis.profile_model(model_b, arch, calib, model_id="B")
-    plan_a = lewis.build_plan_lewis(profile_a, profile_base, EXPERIMENT_BOUNDS, mode="minmax")
-    plan_b = lewis.build_plan_lewis(profile_b, profile_base, EXPERIMENT_BOUNDS, mode="minmax")
-
-    base_path = workdir / "base.safetensors"
-    a_path = workdir / "A.safetensors"
-    b_path = workdir / "B.safetensors"
-    lewis.write_checkpoint(base, base_path)
-    lewis.write_checkpoint(model_a, a_path)
-    lewis.write_checkpoint(model_b, b_path)
-    plan_a.save(workdir / "plan_a.json")
-    plan_b.save(workdir / "plan_b.json")
-
-    recipe = lewis.MergeRecipe(
-        base_path=str(base_path),
-        model_paths=[str(a_path), str(b_path)],
-        method="ties",
-        seed=seed,
-    )
-    guided = lewis.merge(recipe, [plan_a, plan_b])
-    uniform = lewis.merge(
-        recipe,
-        [lewis.build_plan_uniform(0.5, "A"), lewis.build_plan_uniform(0.5, "B")],
-    )
-    guided_path = workdir / "guided.safetensors"
-    uniform_path = workdir / "uniform.safetensors"
-    lewis.write_checkpoint(guided, guided_path)
-    lewis.write_checkpoint(uniform, uniform_path)
-
-    return TrialResult(
-        argmax_block=max(plan_a.densities, key=plan_a.densities.get),
-        guided_loss=lewis.eval_loss(guided, arch, calib),
-        uniform_loss=lewis.eval_loss(uniform, arch, calib),
-        plan_a=plan_a,
-        plan_b=plan_b,
-        guided_path=guided_path,
-        uniform_path=uniform_path,
-    )
-
-
 def trial_inputs(seed: int) -> tuple[lewis.Checkpoint, lewis.Checkpoint, lewis.Checkpoint, lewis.CalibrationSet]:
-    """The base, A, B and calibration set that `run_trial` builds for `seed`, drawn in the same order."""
+    """The trial's base, A, B and calibration set for `seed`: the only place they are drawn."""
     arch = EXPERIMENT_ARCH
     rng = np.random.default_rng(seed)
     base = lewis.random_checkpoint(arch, seed=seed, scale=0.08)
@@ -137,9 +76,8 @@ def trial_inputs(seed: int) -> tuple[lewis.Checkpoint, lewis.Checkpoint, lewis.C
 
 def parameter_budget(plan: lewis.SparsityPlan) -> float:
     """The plan's keep-density weighted by each tensor's element count, as `lewis merge` reports it."""
-    roles = lewis.role_classifier("toy")
     sizes = {name: math.prod(shape) for name, shape in tensor_shapes(EXPERIMENT_ARCH).items()}
-    return sum(plan.density_for(roles(name), name) * size for name, size in sizes.items()) / sum(sizes.values())
+    return plan.budget(sizes, lewis.role_classifier("toy"))
 
 
 def reversed_plan(plan: lewis.SparsityPlan) -> lewis.SparsityPlan:
@@ -157,16 +95,25 @@ def reversed_plan(plan: lewis.SparsityPlan) -> lewis.SparsityPlan:
     )
 
 
+ARM_PLANS = {
+    "guided": lambda plan: plan,
+    "uniform": lambda plan: lewis.build_plan_uniform(0.5, plan.model_id),
+    "matched": lambda plan: lewis.build_plan_uniform(parameter_budget(plan), plan.model_id),
+    "reversed": reversed_plan,
+}
+ARMS = tuple(ARM_PLANS)
+
+
 @dataclass
 class Controls:
-    """Per-model plans and merged calibration loss for each arm: guided, uniform (0.5), matched, reversed."""
+    """Per-model plans and merged calibration loss for each arm run."""
 
     plans: dict[str, list[lewis.SparsityPlan]]
     losses: dict[str, float]
 
 
-def run_controls(seed: int, workdir: Path, method: str = "ties") -> Controls:
-    """`run_trial`'s guided and uniform merges beside the two matched-budget controls, by `method`."""
+def run_controls(seed: int, workdir: Path, method: str = "ties", arms: tuple[str, ...] = ARMS) -> Controls:
+    """Write base/A/B.safetensors, plan once, then merge each arm by `method` to `<arm>.safetensors` and score it."""
     arch = EXPERIMENT_ARCH
     base, model_a, model_b, calib = trial_inputs(seed)
     profile_base = lewis.profile_model(base, arch, calib, model_id="base")
@@ -183,11 +130,34 @@ def run_controls(seed: int, workdir: Path, method: str = "ties") -> Controls:
     recipe = lewis.MergeRecipe(
         base_path=str(paths[0]), model_paths=[str(p) for p in paths[1:]], method=method, seed=seed
     )
-    plans = {
-        "guided": guided,
-        "uniform": [lewis.build_plan_uniform(0.5, plan.model_id) for plan in guided],
-        "matched": [lewis.build_plan_uniform(parameter_budget(plan), plan.model_id) for plan in guided],
-        "reversed": [reversed_plan(plan) for plan in guided],
-    }
-    losses = {arm: lewis.eval_loss(lewis.merge(recipe, arm_plans), arch, calib) for arm, arm_plans in plans.items()}
+    plans = {arm: [ARM_PLANS[arm](plan) for plan in guided] for arm in arms}
+    losses = {}
+    for arm, arm_plans in plans.items():
+        merged = lewis.merge(recipe, arm_plans)
+        lewis.write_checkpoint(merged, workdir / f"{arm}.safetensors")
+        losses[arm] = lewis.eval_loss(merged, arch, calib)
     return Controls(plans, losses)
+
+
+@dataclass
+class TrialResult:
+    argmax_block: int
+    guided_loss: float
+    uniform_loss: float
+    plan_a: lewis.SparsityPlan
+    plan_b: lewis.SparsityPlan
+
+
+def run_trial(seed: int, workdir: Path) -> TrialResult:
+    """Criteria 8 and 9: the guided and uniform-0.5 arms by TIES, with the guided plans saved as plan_a/b.json."""
+    controls = run_controls(seed, workdir, arms=("guided", "uniform"))
+    plan_a, plan_b = controls.plans["guided"]
+    plan_a.save(workdir / "plan_a.json")
+    plan_b.save(workdir / "plan_b.json")
+    return TrialResult(
+        argmax_block=max(plan_a.densities, key=plan_a.densities.get),
+        guided_loss=controls.losses["guided"],
+        uniform_loss=controls.losses["uniform"],
+        plan_a=plan_a,
+        plan_b=plan_b,
+    )
