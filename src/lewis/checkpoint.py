@@ -89,6 +89,15 @@ def _widen(words: np.ndarray) -> np.ndarray:
         return words.astype(np.float64)
 
 
+def _is_str_map(value: object) -> bool:  # the one rule for checkpoint metadata and plan provenance
+    return isinstance(value, Mapping) and all(isinstance(k, str) and isinstance(v, str) for k, v in value.items())
+
+
+def _validate_name(name: object) -> None:
+    if not isinstance(name, str) or name == "__metadata__":  # the header keeps that key for metadata
+        raise InvalidTensorError(f"tensor name {name!r} must be a string other than '__metadata__'")
+
+
 def _validate_shape(name: str, shape: tuple[int, ...]) -> None:
     if len(shape) == 0:
         raise InvalidTensorError(f"tensor {name!r} has an empty shape")
@@ -127,7 +136,8 @@ class Checkpoint:
     ):
         self.tensors: dict[str, np.ndarray] = {}
         self.dtypes: dict[str, str] = {}
-        for name in sorted(tensors):
+        for name in sorted(tensors, key=str):  # str() lets a bad name sort, so it is named below
+            _validate_name(name)
             arr = np.asarray(tensors[name], dtype=np.float64)
             _validate_shape(name, arr.shape)
             dtype = dtypes if isinstance(dtypes, str) else dtypes.get(name)
@@ -137,12 +147,9 @@ class Checkpoint:
                 raise UnknownDtypeError(f"tensor {name!r} has unsupported dtype {dtype!r}")
             self.tensors[name] = _widen(_narrow(arr, dtype))  # snap to the stored dtype
             self.dtypes[name] = dtype
-        if metadata is not None:
-            bad = [k for k, v in metadata.items() if not isinstance(k, str) or not isinstance(v, str)]
-            if bad:
-                raise InvalidTensorError(f"metadata keys/values must be strings: {bad}")
-            metadata = dict(metadata)
-        self.metadata: dict[str, str] | None = metadata
+        if metadata is not None and not _is_str_map(metadata):
+            raise InvalidTensorError(f"metadata must map strings to strings, got {metadata!r}")
+        self.metadata: dict[str, str] | None = None if metadata is None else dict(metadata)
 
     def names(self) -> list[str]:
         return list(self.tensors)
@@ -271,10 +278,7 @@ class CheckpointFile:
             raise HeaderParseError(f"{path}: header must be an object, got {type(header).__name__}")
 
         metadata = header.pop("__metadata__", None)
-        if metadata is not None and (
-            not isinstance(metadata, dict)
-            or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())
-        ):
+        if metadata is not None and not _is_str_map(metadata):
             raise HeaderParseError(f"{path}: __metadata__ must map strings to strings")
         self.metadata: dict[str, str] | None = metadata
 

@@ -6,9 +6,10 @@ recipe are dataclasses that inherit `Document`, naming their error class:
 its JSON keys. `save` writes canonical JSON (sorted keys, no whitespace)
 atomically and `digest` is the sha256 of those same bytes, so a digest
 names a file's content exactly. `load` rejects a file that is not a JSON
-object, or that holds an unknown key or lacks a required one, by name; the
-class's `__post_init__` then checks the values. Every failure is the
-class's error, prefixed with the file's path.
+object, that gives one key twice in an object, or that holds an unknown
+key or lacks a required one, by name; the class's `__post_init__` then
+checks the values. Every failure is the class's error, prefixed with the
+file's path.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ def _json_value(value: object) -> object:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; json.loads alone keeps the last of two equal keys."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 class Document:
     """Save, digest and load for a dataclass whose fields are its JSON keys."""
 
@@ -58,7 +69,7 @@ class Document:
     @classmethod
     def load(cls, path: str | Path):
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
             raise cls._error(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):

@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from .checkpoint import _is_str_map
 from .documents import Document
 from .errors import PlanError, ProfileMismatchError
 from .roles import BLOCK_KINDS, TensorRole
@@ -68,11 +69,15 @@ def _check_convention(convention: object) -> None:
 
 
 def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
-    """`mapping` with its block-id keys (ints or decimal strings) made ints, else raise `error` naming `what`."""
+    """`mapping` with int keys, the exact inverse of `documents._json_value`'s str(k): a key must be an int or the
+    text str() gives for one ("01", "+1", True and 1.0 are not), one key per block; else raise `error` naming `what`."""
     try:
-        return {int(k): v for k, v in mapping.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+        blocks = {int(k): v for k, v in mapping.items() if str(int(k)) == str(k)}
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must map block ids to values: {exc}") from exc
+    if len(blocks) < len(mapping):
+        raise error(f"{what}: block ids must be ints as str() writes them, no block twice; got keys {list(mapping)}")
+    return blocks
 
 
 def _check_scores(scores: Mapping[int, float]) -> None:
@@ -178,10 +183,7 @@ class SparsityPlan(Document, error=PlanError):
                 kind: _check_density(value, f"role_overrides: density for role {kind}", PlanError)
                 for kind, value in self.role_overrides.items()
             }
-        if self.provenance is not None and not (
-            isinstance(self.provenance, Mapping)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in self.provenance.items())
-        ):
+        if self.provenance is not None and not _is_str_map(self.provenance):
             raise PlanError(f"provenance must map strings to strings, got {self.provenance!r}")
 
     def density_for(self, role: TensorRole, name: str = "") -> float:

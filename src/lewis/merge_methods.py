@@ -2,7 +2,9 @@
 
 All four methods run one flow, tensor by tensor. The base and every model
 are opened by their headers, and their names and shapes are checked
-against each other before any tensor data is read. Then, for each tensor
+against each other before any tensor data is read, as is each plan's
+block set: a plan that sets a block no base tensor belongs to (a plan
+for another model) raises PlanError. Then, for each tensor
 name, that tensor of each input is read and checked finite (else
 NonFiniteTensorError names the file and the tensor), turned into a task
 vector and pruned at its plan's density (magnitude trim for
@@ -45,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointFile, exact_checkpoint
-from .errors import RecipeError
+from .errors import PlanError, RecipeError
 from .importance import SparsityPlan, build_plan_uniform
 from .parallel import map_in_order
 from .pruning import apply_plan, mix_seed
@@ -89,11 +91,15 @@ def ties_combine(deltas: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def derive_model_ids(paths: Sequence[str]) -> list[str]:
-    """One id per checkpoint path: its file stem, with `#index` appended to a repeated stem."""
+    """One distinct id per checkpoint path: its file stem, or for a taken one `stem#index`
+    with the path's index, counting up from it until the id is free."""
     ids = []
     for p, path in enumerate(paths):
-        stem = Path(path).stem or f"model-{p}"
-        ids.append(stem if stem not in ids else f"{stem}#{p}")
+        model_id = stem = Path(path).stem or f"model-{p}"
+        k = p
+        while model_id in ids:
+            model_id, k = f"{stem}#{k}", k + 1
+        ids.append(model_id)
     return ids
 
 
@@ -123,6 +129,10 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
         check_task_vector_inputs(base, model, model_id)
 
     roles = role_classifier(detect_naming_scheme(base.names()))
+    blocks = {roles(name).block_index for name in base.names()}
+    for model_id, plan in zip(model_ids, plans):
+        if foreign := sorted(plan.densities.keys() - blocks):
+            raise PlanError(f"plan for {model_id!r} sets blocks {foreign} that no tensor of the base belongs to")
     g_mode = "magnitude" if recipe.method in ("task-arithmetic", "ties") else "random"
     seeds = [mix_seed(recipe.seed, f"model-{p}") for p in range(len(models))]
 

@@ -251,6 +251,22 @@ class TestFormatErrors:
         with pytest.raises(HeaderParseError):
             read_checkpoint(path)
 
+    def test_header_must_be_an_object(self, tmp_path):
+        path = self._raw_file(tmp_path, [{"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}], b"\0" * 8)
+        with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: header must be an object, got list"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"shape": [2], "data_offsets": [0, 8]},
+        {"dtype": "F32", "data_offsets": [0, 8]},
+        {"dtype": "F32", "shape": [2]},
+        [0, 8],
+    ], ids=["no-dtype", "no-shape", "no-data_offsets", "not-object"])
+    def test_incomplete_table_entry_names_tensor(self, tmp_path, entry):
+        path = self._raw_file(tmp_path, {"w": entry}, b"\0" * 8)
+        with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: malformed table entry for tensor 'w'"):
+            read_checkpoint(path)
+
     def test_unknown_dtype_names_tensor(self, tmp_path):
         header = {"w": {"dtype": "I64", "shape": [2], "data_offsets": [0, 16]}}
         path = self._raw_file(tmp_path, header, b"\0" * 16)
@@ -368,6 +384,25 @@ class TestFormatErrors:
     def test_scalar_shape_rejected(self):
         with pytest.raises(InvalidTensorError):
             Checkpoint({"w": np.float64(1.0)})
+
+    @pytest.mark.parametrize(
+        "tensors, dtypes, metadata, error, match",
+        [
+            ({"w": np.ones(2)}, "I64", None, UnknownDtypeError, "tensor 'w' has unsupported dtype 'I64'"),
+            ({"w": np.ones(2)}, "F32", {"k": 3}, InvalidTensorError, "metadata must map strings to strings"),
+            ({"w": np.ones(2)}, "F32", {1: "v"}, InvalidTensorError, "metadata must map strings to strings"),
+            ({"w": np.ones(2)}, "F32", [("k", "v")], InvalidTensorError, "metadata must map strings to strings"),
+            ({1: np.ones(2)}, "F32", None, InvalidTensorError, "tensor name 1 must be a string"),
+            ({"a": np.ones(2), 1: np.ones(2)}, "F32", None, InvalidTensorError, "tensor name 1 must be a string"),
+            ({"__metadata__": np.ones(2), "w": np.ones(2)}, "F32", None, InvalidTensorError,
+             "tensor name '__metadata__' must be a string other than '__metadata__'"),
+        ],
+        ids=["unsupported-dtype", "int-metadata-value", "int-metadata-key", "metadata-pairs",
+             "int-name", "int-name-among-str", "metadata-name"],
+    )
+    def test_bad_construction_is_named_error(self, tensors, dtypes, metadata, error, match):
+        with pytest.raises(error, match=f"^{re.escape(match)}"):
+            Checkpoint(tensors, dtypes, metadata)
 
     def test_bad_metadata_rejected(self, tmp_path):
         header = {"__metadata__": {"k": 3}}

@@ -391,6 +391,40 @@ class TestMerge:
         merged = lewis.read_checkpoint(workspace / "merged.safetensors")
         assert merged.metadata["merge.models"] == "m,m#1"
 
+    def test_stem_that_looks_like_a_suffixed_id_gets_its_own_id(self, workspace, capsys):
+        """`x#2` is a stem here, so the second `x` counts on to `x#3`: three ids, three plan digests."""
+        paths = [workspace / "x#2.safetensors", workspace / "x.safetensors", workspace / "d" / "x.safetensors"]
+        (workspace / "d").mkdir()
+        for path in paths:
+            path.write_bytes((workspace / "fine.safetensors").read_bytes())
+        code = run(["merge", "--base", workspace / "base.safetensors",
+                    *[arg for path in paths for arg in ("--model", path)],
+                    "--density", "0.5", "--out", workspace / "merged.safetensors"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[3:6]
+        assert [row.split()[0] for row in rows] == ["x#2", "x", "x#3"]
+        metadata = lewis.read_checkpoint(workspace / "merged.safetensors").metadata
+        assert metadata["merge.models"] == "x#2,x,x#3"
+        assert sorted(k for k in metadata if k.startswith("merge.plan_digest.")) == [
+            "merge.plan_digest.x", "merge.plan_digest.x#2", "merge.plan_digest.x#3"]
+
+    def test_plan_for_another_model_is_named_error(self, workspace, capsys):
+        """A plan setting blocks 0-11 does not fit the 2-block base; blocks the plan leaves out take the default."""
+        norms = {"base": [1.0] * 12, "fine": [1.0 + 0.1 * i for i in range(12)]}
+        for tag, values in norms.items():
+            lewis.ActivationProfile(tag, dict(enumerate(values)), 1).save(workspace / f"{tag}12.profile.json")
+        assert run(["plan", "--mode", "lewis-minmax", "--profile", workspace / "fine12.profile.json",
+                    "--base-profile", workspace / "base12.profile.json", "--out", workspace / "plan.json"]) == 0
+        capsys.readouterr()
+        assert run(_merge_plan_args(workspace, workspace / "plan.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: plan for 'fine' sets blocks [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] "
+            "that no tensor of the base belongs to\n"
+        )
+        assert not (workspace / "m.safetensors").exists()
+        lewis.SparsityPlan("fine", "uniform", {0: 0.7}, 0.5).save(workspace / "part.json")
+        assert run(_merge_plan_args(workspace, workspace / "part.json")) == 0
+
     def test_missing_base_is_error(self, workspace, capsys):
         code = run([
             "merge", "--model", workspace / "fine.safetensors",
@@ -530,6 +564,13 @@ class TestMalformedDocuments:
             ({"hidden_dm": 8}, "unknown fields ['hidden_dm']", _capture_args),
             ({"naming_scheme": 5}, "naming_scheme must be 'toy', got 5", _capture_args),
             ({"naming_scheme": "llama-style"}, "naming_scheme must be 'toy', got 'llama-style'", _capture_args),
+            ({"model_id": "m", "mode": "guided", "default_density": 0.5}, "unknown plan mode 'guided'",
+             _merge_plan_args),
+            ({"model_id": "m", "mode": "layer-type", "default_density": 0.5, "role_overrides": [["Q", 0.5]]},
+             "role_overrides", _merge_plan_args),
+            ({"model_id": "m", "mode": "layer-type", "default_density": 0.5, "role_overrides": {"Embedding": 0.5}},
+             "non-block kind 'Embedding'", _merge_plan_args),
+            (_recipe(plan_refs=["a.plan.json", "b.plan.json"]), "1 models but 2 plan refs", _merge_recipe_args),
         ],
         ids=["arch-unknown-key", "profile-no-num_samples", "plan-no-model_id", "recipe-no-base_path",
              "arch-float-heads", "arch-float-seq-len", "arch-bool-blocks",
@@ -542,7 +583,9 @@ class TestMalformedDocuments:
              "plan-str-role-override", "plan-bool-bounds", "plan-three-bounds", "plan-bool-density",
              "plan-int-provenance", "plan-int-provenance-digest", "profile-huge-int-norm",
              "plan-huge-int-default", "profile-unknown-norm_conventon", "plan-unknown-densites",
-             "arch-unknown-hidden_dm", "arch-int-naming_scheme", "arch-llama-naming_scheme"],
+             "arch-unknown-hidden_dm", "arch-int-naming_scheme", "arch-llama-naming_scheme",
+             "plan-unknown-mode", "plan-list-role-overrides", "plan-non-block-role-override",
+             "recipe-plan_refs-count"],
     )
     def test_named_error_not_traceback(self, workspace, capsys, doc, field, args):
         path = workspace / "bad.json"
@@ -745,6 +788,23 @@ class TestInspectAndEval:
         out = capsys.readouterr().out
         assert "embed.weight" in out
         assert "Embedding" in out
+
+    def test_inspect_lists_merge_metadata(self, workspace, capsys):
+        assert run(["merge", "--base", workspace / "base.safetensors", "--model", workspace / "fine.safetensors",
+                    "--density", "0.5", "--seed", "3", "--out", workspace / "merged.safetensors"]) == 0
+        capsys.readouterr()
+        assert run(["inspect", "--ckpt", workspace / "merged.safetensors"]) == 0
+        out = capsys.readouterr().out
+        plan_digest = lewis.build_plan_uniform(0.5, "fine").digest()
+        assert out[out.index("metadata:"):].splitlines() == [
+            "metadata:",
+            "  merge.alphas = [1.0]",
+            "  merge.bounds = [null]",
+            "  merge.method = ties",
+            "  merge.models = fine",
+            f"  merge.plan_digest.fine = {plan_digest}",
+            "  merge.seed = 3",
+        ]
 
     def test_inspect_holds_one_tensor_at_a_time(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

@@ -6,10 +6,16 @@ arbitrary JSON values, huge ints and nested lists and objects among them;
 or it is an arbitrary JSON value. Whatever it holds, the command that reads it exits 0
 or 1 and raises nothing, and a document that fails to load is reported as
 `error: <path>: ...`.
+
+Block-keyed maps (a profile's `layer_norms`, a plan's `densities`) load
+exactly as they were saved: any set of block ids round-trips with its
+digest, and a key that is not the text str() writes for a block, or a
+second key for one block, is the document's error naming the field.
 """
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -122,3 +128,76 @@ def test_any_document_exits_cleanly(workspace, kind):
             assert code == 1 and err.getvalue().startswith(f"error: {path}: ")
 
     check()
+
+
+# Block-keyed maps: saved keys are str(block), and a load reads back exactly those.
+BLOCK_MAPS = {
+    lewis.ActivationProfile: lambda ids, values: lewis.ActivationProfile("m", dict(enumerate(values[:len(ids)])), 2),
+    lewis.SparsityPlan: lambda ids, values: lewis.SparsityPlan("m", "topk", dict(zip(ids, values)), 0.5),
+}
+
+
+@pytest.mark.parametrize("cls", list(BLOCK_MAPS), ids=["profile", "plan"])
+def test_block_keys_load_as_saved(tmp_path, cls):
+    """A profile's blocks are 0..L-1 for any L; a plan's are any set of non-negative ints."""
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.sets(st.integers(0, 10**30), min_size=1, max_size=16),
+           values=st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16))
+    def check(ids, values):
+        doc = BLOCK_MAPS[cls](sorted(ids), values)
+        doc.save(path)
+        loaded = cls.load(path)
+        assert loaded == doc and loaded.digest() == doc.digest()
+
+    check()
+
+
+# kind: (class, the block-keyed field, a valid document whose "1" key each spelling below replaces)
+BLOCK_DOCS = {
+    "profile": (lewis.ActivationProfile, "layer_norms",
+                {"model_id": "m", "layer_norms": {"0": 1.0, "1": 2.0}, "num_samples": 1}),
+    "plan": (lewis.SparsityPlan, "densities",
+             {"model_id": "m", "mode": "topk", "densities": {"0": 0.5, "1": 0.9}, "default_density": 0.5}),
+}
+SPELLINGS = {"leading-zero": "01", "space": " 1", "plus": "+1", "underscore": "1_0", "negative-zero": "-0",
+             "fullwidth": "１"}
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_DOCS))
+@pytest.mark.parametrize("spelling", list(SPELLINGS))
+def test_non_canonical_block_key_is_named_error(tmp_path, kind, spelling):
+    cls, field, valid = BLOCK_DOCS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**valid, field: {"0": valid[field]["0"], SPELLINGS[spelling]: valid[field]["1"]}}))
+    with pytest.raises(cls._error, match=f"^{re.escape(str(path))}: {field}: block ids must be ints as str"):
+        cls.load(path)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_DOCS))
+@pytest.mark.parametrize("keys", [
+    ["0", "1", "01"], [0, 1, "1"], [0, True], [0, 1.0],
+], ids=["leading-zero-duplicate", "int-and-text", "bool", "float"])
+def test_each_block_is_named_once_by_an_int(tmp_path, kind, keys):
+    """In a file two keys can name one block; in memory a key can also be a bool or a float."""
+    cls, field, valid = BLOCK_DOCS[kind]
+    fields = {**valid, field: dict.fromkeys(keys, valid[field]["1"])}
+    with pytest.raises(cls._error, match=f"^{field}: block ids must be ints as str"):
+        cls(**fields)
+    if all(isinstance(k, str) for k in keys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(fields))
+        with pytest.raises(cls._error, match=f"^{re.escape(str(path))}: {field}: "):
+            cls.load(path)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_DOCS))
+def test_key_given_twice_in_a_file_is_named_error(tmp_path, kind):
+    """json.loads alone would keep the last "1" and fold two entries into one block."""
+    cls, field, valid = BLOCK_DOCS[kind]
+    text = json.dumps({**valid, field: {"0": valid[field]["0"], "1": valid[field]["1"]}})
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace('"1": ', f'"1": {valid[field]["0"]}, "1": '))
+    with pytest.raises(cls._error, match=f"^{re.escape(str(path))}: not valid JSON: key '1' appears twice"):
+        cls.load(path)
