@@ -19,10 +19,11 @@ a time into a temp file beside the destination and renames it into
 place, so a failed write never leaves a truncated file behind.
 
 Reading is header first: a CheckpointFile reads and checks the whole
-header (dtypes, shapes, offsets inside the file, no overlaps) and reads a
-tensor's words only when that tensor is indexed. read_checkpoint opens a
-file that way and then reads every tensor; asked for finite weights, it
-rejects the first tensor holding NaN or an infinity by file and name.
+header (no key twice, dtypes, shapes, offsets inside the file, no
+overlaps) and reads a tensor's words only when that tensor is indexed.
+read_checkpoint opens a file that way and then reads every tensor; asked
+for finite weights, it rejects the first tensor holding NaN or an
+infinity by file and name.
 
 In memory every tensor is widened to float64 for arithmetic; the dtype it
 was stored with (F32, F16 or BF16) is kept per tensor so writing narrows
@@ -46,6 +47,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .buffers import BufferPool, all_finite, copied, empty
 from .errors import (
     CheckpointError,
     DataOffsetError,
@@ -72,21 +74,46 @@ def _narrow(values: np.ndarray, dtype: str) -> np.ndarray:
     order, so the writer can stream them to a file as they are.
     """
     with np.errstate(over="ignore"):
-        f32 = values.astype("<f4", order="C")
+        f32 = copied(values, "<f4")
         if dtype != "BF16":
-            return f32.astype(_WORDS[dtype], copy=False)
+            return f32 if dtype == "F32" else copied(f32, _WORDS[dtype])
     u = f32.view("<u4")
-    nan = ((u & 0x7F800000) == 0x7F800000) & ((u & 0x007FFFFF) != 0)
-    rounded = (u + ((u >> 16) & 1) + 0x7FFF) >> 16
-    return np.where(nan, (u >> 16) | 0x0040, rounded).astype("<u2")
+    t = np.bitwise_and(u, 0x7FFFFFFF, out=empty(u.shape, "<u4"))
+    nan = np.greater(t, 0x7F800000, out=empty(u.shape, np.bool_))  # exponent all ones, mantissa not 0
+    # Round to nearest even: add 0x7FFF plus the lowest kept bit, keep the top half.
+    np.right_shift(u, 16, out=t)
+    t &= 1
+    t += u
+    t += 0x7FFF
+    t >>= 16
+    words = copied(t, _WORDS["BF16"])
+    if nan.any():
+        np.right_shift(u, 16, out=t)
+        t |= 0x0040
+        np.copyto(words, t, casting="unsafe", where=nan)
+    return words
 
 
 def _widen(words: np.ndarray) -> np.ndarray:
     """Storage words back to float64 (exact; a signalling NaN comes back quiet)."""
     if words.dtype == _WORDS["BF16"]:
-        words = (words.astype("<u4") << 16).view("<f4")
+        words = np.left_shift(words, 16, out=empty(words.shape, "<u4"), dtype="<u4").view("<f4")
     with np.errstate(invalid="ignore"):
-        return words.astype(np.float64)
+        return copied(words, np.float64)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; json.loads alone keeps the last of two equal keys.
+
+    The one duplicate-key rule of every JSON the toolkit reads: checkpoint
+    headers, documents and calibration records.
+    """
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        seen.add(key)
+    return dict(pairs)
 
 
 def _is_str_map(value: object) -> bool:  # the one rule for checkpoint metadata and plan provenance
@@ -225,7 +252,16 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     pad = (8 - len(header_bytes) % 8) % 8
     header_bytes += b" " * pad
 
-    words = (_narrow(ckpt.tensors[name], ckpt.dtypes[name]) for name in ckpt.names())
+    # One tensor's words at a time, on buffers reused from tensor to tensor:
+    # a narrow takes at most 11 bytes an element, so twice the largest
+    # tensor's float64 size holds it and the words still being written.
+    pool = BufferPool(16 * max((arr.size for arr in ckpt.tensors.values()), default=0))
+
+    def narrow(name: str) -> np.ndarray:
+        with pool.lend():
+            return _narrow(ckpt.tensors[name], ckpt.dtypes[name])
+
+    words = map(narrow, ckpt.names())
     _write_atomic(path, itertools.chain([struct.pack("<Q", len(header_bytes)), header_bytes], words))
 
 
@@ -271,8 +307,8 @@ class CheckpointFile:
                 )
             raw = fh.read(header_len)
         try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a key twice, a huge int, deep nesting
             raise HeaderParseError(f"{path}: header is not valid structured text: {exc}") from exc
         if not isinstance(header, dict):
             raise HeaderParseError(f"{path}: header must be an object, got {type(header).__name__}")
@@ -326,14 +362,17 @@ class CheckpointFile:
     def __getitem__(self, name: str) -> np.ndarray:
         shape, offset = self._layout[name]
         word, count = _WORDS[self.dtypes[name]], math.prod(shape)
-        words = np.fromfile(self.path, word, count, offset=offset)
-        if words.size != count:  # the file shrank after its header was read
+        words = empty((count,), word)
+        with open(self.path, "rb") as fh:
+            fh.seek(offset)
+            got = fh.readinto(words)
+        if got != words.nbytes:  # the file shrank after its header was read
             raise DataOffsetError(
-                f"{self.path}: tensor {name!r} needs {count * word.itemsize} bytes "
-                f"but the file ends after {words.size * word.itemsize}"
+                f"{self.path}: tensor {name!r} needs {words.nbytes} bytes "
+                f"but the file ends after {got - got % word.itemsize}"
             )
         arr = _widen(words).reshape(shape)
-        if self.finite and not np.isfinite(arr).all():
+        if self.finite and not all_finite(arr):
             raise NonFiniteTensorError(f"{self.path}: tensor {name!r} holds NaN or infinite values")
         return arr
 

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import ClassVar
 
-from .checkpoint import _write_atomic
+from .checkpoint import _unique_keys, _write_atomic
 from .errors import MergeError
 
 
@@ -35,16 +35,6 @@ def _json_value(value: object) -> object:
     if isinstance(value, dict):
         return {str(k): v for k, v in value.items()}
     return value
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's pairs as a dict; json.loads alone keeps the last of two equal keys."""
-    seen: set[str] = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ValueError(f"key {key!r} appears twice in one object")
-        seen.add(key)
-    return dict(pairs)
 
 
 class Document:

@@ -29,7 +29,13 @@ all of them take tensor names in name order (`parallel.map_in_order`).
 Before they start, the calling thread allocates one float64 buffer for
 the whole output, and each worker writes its tensor into that tensor's
 view, so no long-lived array is allocated on a helper thread. Tensors in
-flight hold at most twice the largest tensor's element count. After a
+flight hold at most twice the largest tensor's element count. Every array
+made while a tensor is merged (its reads, deltas, trim, drop and election
+temporaries, the snap's words and the finite checks) comes from one
+`buffers.BufferPool` that the workers share: a buffer goes back to the
+pool as soon as no array uses it, and the next tensor reuses it instead
+of faulting fresh memory in. The pool holds at most (models + 10) × 8
+bytes per element of that in-flight budget, idle buffers included. After a
 failure no worker starts another tensor, and the merge raises the error
 of the failing tensor that comes first in name order, the one a serial
 loop raises. The output bytes do not depend on the worker count.
@@ -42,10 +48,11 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .buffers import BufferPool, empty, select
 from .checkpoint import Checkpoint, CheckpointFile, exact_checkpoint
 from .errors import PlanError, RecipeError
 from .importance import SparsityPlan, build_plan_uniform
@@ -61,7 +68,7 @@ from .task_vectors import (
 )
 
 
-def ties_combine(deltas: Iterable[np.ndarray]) -> np.ndarray:
+def ties_combine(deltas: Sequence[np.ndarray]) -> np.ndarray:
     """Elect-then-mean over a sequence of deltas (a list, or a (models, ...) array).
 
     Per parameter position, the elected sign is positive when the positive
@@ -69,33 +76,43 @@ def ties_combine(deltas: Iterable[np.ndarray]) -> np.ndarray:
     negative. The result is the elected side's sum / the elected side's
     count (zeros never count), or 0 where no entry has the elected sign.
     Both come from per-model running sums and counts taken in model order,
-    so combine memory does not grow with the number of models. Raises
+    so combine memory does not grow with the number of models. The counts
+    are of the smallest unsigned type that holds the model count (uint8 up
+    to 255 models, uint16 from 256 on, and so forth), so they never overflow. Raises
     ValueError on an empty sequence.
     """
-    it = iter(deltas)
-    first = next(it, None)
-    if first is None:
+    if len(deltas) == 0:
         raise ValueError("ties_combine needs at least one delta")
-    pos, neg = np.fmax(first, 0.0), np.fmin(first, 0.0)  # fmax/fmin drop NaN
-    npos, nneg = (first > 0).astype(np.intp), (first < 0).astype(np.intp)
-    for d in it:
-        pos += np.fmax(d, 0.0)
-        neg += np.fmin(d, 0.0)
-        npos += d > 0
-        nneg += d < 0
+    first, shape = deltas[0], np.shape(deltas[0])
+    sums, counts = np.result_type(first, 0.0), np.min_scalar_type(len(deltas))
+    pos, neg, part = empty(shape, sums), empty(shape, sums), empty(shape, sums)
+    npos, nneg, mask = empty(shape, counts), empty(shape, counts), empty(shape, np.bool_)
+    np.fmax(first, 0.0, out=pos)  # fmax/fmin drop NaN
+    np.fmin(first, 0.0, out=neg)
+    np.greater(first, 0, out=npos)
+    np.less(first, 0, out=nneg)
+    for d in deltas[1:]:
+        pos += np.fmax(d, 0.0, out=part)
+        neg += np.fmin(d, 0.0, out=part)
+        npos += np.greater(d, 0, out=mask)
+        nneg += np.less(d, 0, out=mask)
     # Off the elected side each model adds a signed zero, and x + ±0 == x,
     # so the elected running sum is the sum of the agreeing entries exactly.
-    up = pos >= -neg
-    count = np.where(up, npos, nneg)
-    return np.where(count > 0, np.where(up, pos, neg) / np.maximum(count, 1), 0.0)
+    up = np.greater_equal(pos, np.negative(neg, out=part), out=mask)
+    total, count = select(up, pos, neg, neg), select(up, npos, nneg, nneg)  # the elected side's
+    # The mean is taken in the dtype that a sum divided by an intp count has.
+    mean = empty(shape, np.result_type(sums, np.intp))
+    np.divide(total, np.maximum(count, 1, out=npos), out=mean, dtype=mean.dtype)
+    return select(np.not_equal(count, 0, out=mask), mean, None, mean)
 
 
 def derive_model_ids(paths: Sequence[str]) -> list[str]:
-    """One distinct id per checkpoint path: its file stem, or for a taken one `stem#index`
-    with the path's index, counting up from it until the id is free."""
+    """One distinct id per checkpoint path: its file stem with each comma made `_` (so
+    `merge.models` lists one id per model), or for a taken one `stem#index` with the
+    path's index, counting up from it until the id is free."""
     ids = []
     for p, path in enumerate(paths):
-        model_id = stem = Path(path).stem or f"model-{p}"
+        model_id = stem = Path(path).stem.replace(",", "_") or f"model-{p}"
         k = p
         while model_id in ids:
             model_id, k = f"{stem}#{k}", k + 1
@@ -155,31 +172,36 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     # workers in the calling thread's malloc arena, not in theirs.
     views = np.split(np.empty(sum(sizes.values())), list(itertools.accumulate(sizes.values()))[:-1])
     out = {name: view.reshape(shapes[name]) for name, view in zip(names, views)}
+    budget = 2 * max(sizes.values(), default=0)
+    # A tensor in flight makes about one float64 array per model and ten more.
+    pool = BufferPool((len(models) + 10) * 8 * budget)
 
     def shard(ckpt, name: str) -> Checkpoint:
         return exact_checkpoint({name: ckpt[name]}, {name: ckpt.dtypes[name]})
 
     def combine(name: str) -> None:
         # The whole-model functions, fed one-tensor checkpoints, under the names
-        # perfbench's traced run wraps.
-        base_t = shard(base, name)
-        deltas = [
-            apply_plan(
-                compute_task_vector(base_t, shard(model, name), model_id),
-                plan, g_mode, roles, seed=seed,
-            )[name]
-            for model, model_id, plan, seed in zip(models, model_ids, plans, seeds)
-        ]
-        if not elect:
-            merged = linear_combine(base_t[name], deltas, recipe.alphas)
-        else:
-            for d, a in zip(deltas, recipe.alphas):
-                d *= float(a)  # each delta is a fresh array from apply_plan
-            merged = base_t[name] + ties_combine(deltas)
-        out[name][...] = finalize_checkpoint({name: merged}, base, None)[name]
+        # perfbench's traced run wraps; every array they make comes from the pool.
+        with pool.lend():
+            base_t = shard(base, name)
+            deltas = [
+                apply_plan(
+                    compute_task_vector(base_t, shard(model, name), model_id),
+                    plan, g_mode, roles, seed=seed,
+                )[name]
+                for model, model_id, plan, seed in zip(models, model_ids, plans, seeds)
+            ]
+            if not elect:
+                merged = linear_combine(base_t[name], deltas, recipe.alphas)
+            else:
+                for d, a in zip(deltas, recipe.alphas):
+                    d *= float(a)  # each delta is a fresh array from apply_plan
+                merged = ties_combine(deltas)
+                merged += base_t[name]
+            out[name][...] = finalize_checkpoint({name: merged}, base, None)[name]
 
     map_in_order(
         combine, names, len(os.sched_getaffinity(0)),
-        cost=sizes.__getitem__, budget=2 * max(sizes.values(), default=0),
+        cost=sizes.__getitem__, budget=budget,
     )
     return exact_checkpoint(out, base.dtypes, metadata)

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .buffers import copied, empty, select
 from .importance import SparsityPlan, _check_density
 from .roles import TensorRole
 from .task_vectors import TaskVector
@@ -58,25 +59,28 @@ def magnitude_trim(values: np.ndarray, density: float) -> np.ndarray:
     flat index first.
     """
     density = _check_density(density)
-    flat = np.asarray(values).ravel()
+    values = np.asarray(values)
+    flat = values.ravel()
     k = trim_count(density, flat.size)
     if k == flat.size:
-        return np.array(values, copy=True)
+        return copied(values)
     # Keep order is -|x| ascending, NaN last, ties by flat index: select the
     # k-th value as a threshold, then admit threshold ties lowest index first.
-    out = np.abs(flat)
-    np.negative(out, out=out)
-    thr = np.partition(out, k - 1)[k - 1]
+    out = empty(flat.shape, values.dtype)
+    np.negative(np.abs(flat, out=out), out=out)
+    order = copied(out)
+    order.partition(k - 1)
+    thr = order[k - 1]
+    keep, tied = empty(flat.shape, np.bool_), empty(flat.shape, np.bool_)
     if np.isnan(thr):  # fewer than k non-NaN entries: keep them all, then NaNs
-        keep = ~np.isnan(out)
-        tied = ~keep
+        np.isnan(out, out=tied)
+        np.logical_not(tied, out=keep)
     else:
-        keep = out < thr
-        tied = out == thr
+        np.less(out, thr, out=keep)
+        np.equal(out, thr, out=tied)
     keep[np.flatnonzero(tied)[: k - np.count_nonzero(keep)]] = True
-    out.fill(0.0)
-    np.copyto(out, flat, where=keep)
-    return out.reshape(np.asarray(values).shape)
+    np.copyto(out, flat)
+    return select(keep, out, None, out).reshape(values.shape)
 
 
 def random_drop_rescale(
@@ -92,15 +96,16 @@ def random_drop_rescale(
     density = _check_density(density)
     arr = np.asarray(values)
     if density == 1.0:
-        return np.array(arr, copy=True)
+        return copied(arr)
     dtype = np.result_type(arr, density)
     with np.errstate(divide="ignore", over="ignore"):
         if not np.isfinite(np.divide(1.0, density, dtype=dtype)):
             raise ValueError(f"density {density} has no finite rescale 1/density in {dtype}")
-    uniforms = _stream(seed, name).random(arr.size)
-    keep = (uniforms < density).reshape(arr.shape)
+    uniforms = _stream(seed, name).random(out=empty((arr.size,)))
+    keep = np.less(uniforms.reshape(arr.shape), density, out=empty(arr.shape, np.bool_))
     # Zero the dropped entries first, so only a kept entry can overflow.
-    out = np.where(keep, arr, dtype.type(0))
+    out = copied(arr, dtype)
+    select(keep, out, None, out)
     try:
         with np.errstate(over="raise"):
             return np.divide(out, density, out=out)

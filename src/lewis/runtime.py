@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .checkpoint import Checkpoint, _write_atomic
+from .checkpoint import Checkpoint, _unique_keys, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError, MergeError
 from .importance import ActivationProfile, _check_convention
@@ -208,8 +208,8 @@ class CalibrationSet:
                 continue
             where = f"{path}: line {lineno}"
             try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
+                record = json.loads(line, object_pairs_hook=_unique_keys)
+            except (ValueError, RecursionError) as exc:  # bad JSON, a key twice, a huge int, deep nesting
                 raise CalibrationError(f"{where}: not valid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CalibrationError(f"{where}: record must be an object, got {type(record).__name__}")

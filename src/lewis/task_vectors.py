@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .buffers import all_finite, copied, empty
 from .checkpoint import Checkpoint
 from .documents import Document
 from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError
@@ -67,7 +68,10 @@ def check_task_vector_inputs(base, other, model_id: str) -> None:
 def compute_task_vector(base: Checkpoint, finetuned: Checkpoint, model_id: str) -> TaskVector:
     """delta[t] = finetuned[t] - base[t] for every tensor t."""
     check_task_vector_inputs(base, finetuned, model_id)
-    deltas = {name: finetuned[name] - base[name] for name in base.names()}
+    deltas = {}
+    for name in base.names():
+        b, f = base[name], finetuned[name]
+        deltas[name] = np.subtract(f, b, out=empty(b.shape, np.result_type(f, b)))
     return TaskVector(deltas=deltas, source_model_id=model_id)
 
 
@@ -93,9 +97,9 @@ def linear_combine(
     base: np.ndarray, deltas: Sequence[np.ndarray], alphas: Sequence[float]
 ) -> np.ndarray:
     """One tensor of a linear merge: base + sum_p alpha_p * delta_p, summed in model order."""
-    acc = base.copy()
+    acc, scaled = copied(base), empty(base.shape)
     for delta, alpha in zip(deltas, alphas):
-        acc += float(alpha) * delta
+        acc += np.multiply(delta, float(alpha), out=scaled)
     return acc
 
 
@@ -111,7 +115,7 @@ def finalize_checkpoint(
     """
     out = Checkpoint(tensors, dict(base.dtypes), metadata)
     for name, arr in out.tensors.items():
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise RecipeError(f"merged tensor {name!r} contains non-finite values")
     return out
 

@@ -251,6 +251,33 @@ class TestFormatErrors:
         with pytest.raises(HeaderParseError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("body, key", [
+        ('{"w":{"dtype":"F32","shape":[2],"data_offsets":[0,8]},'
+         '"w":{"dtype":"F32","shape":[2],"data_offsets":[8,16]}}', "w"),
+        ('{"w":{"dtype":"F32","dtype":"F16","shape":[2],"data_offsets":[0,8]}}', "dtype"),
+        ('{"__metadata__":{"a":"1","a":"2"},"w":{"dtype":"F32","shape":[2],"data_offsets":[0,8]}}', "a"),
+    ], ids=["tensor", "entry-field", "metadata-key"])
+    def test_key_given_twice_is_named_error(self, tmp_path, body, key):
+        """json.loads alone would keep the last entry: tensor `w` would read as [3, 4]."""
+        path = tmp_path / "twice.safetensors"
+        path.write_bytes(struct.pack("<Q", len(body)) + body.encode()
+                         + np.array([1, 2, 3, 4], "<f4").tobytes())
+        with pytest.raises(HeaderParseError, match=(
+            f"^{re.escape(str(path))}: header is not valid structured text: key '{key}' appears twice in one object$"
+        )):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("body", [
+        '{"w":{"dtype":"F32","shape":[' + "1" * 5000 + '],"data_offsets":[0,8]}}',
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["huge-int", "deep-nesting"])
+    def test_header_json_cannot_decode_is_named_error(self, tmp_path, body):
+        """Both used to escape as a raw ValueError or RecursionError."""
+        path = tmp_path / "h.safetensors"
+        path.write_bytes(struct.pack("<Q", len(body)) + body.encode() + b"\0" * 8)
+        with pytest.raises(HeaderParseError, match=f"^{re.escape(str(path))}: header is not valid structured text: "):
+            read_checkpoint(path)
+
     def test_header_must_be_an_object(self, tmp_path):
         path = self._raw_file(tmp_path, [{"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}], b"\0" * 8)
         with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: header must be an object, got list"):

@@ -391,6 +391,20 @@ class TestMerge:
         merged = lewis.read_checkpoint(workspace / "merged.safetensors")
         assert merged.metadata["merge.models"] == "m,m#1"
 
+    def test_comma_in_a_stem_becomes_an_underscore(self, workspace, capsys):
+        """`merge.models` joins the ids with commas, so no id holds one; a clash counts on as usual."""
+        paths = [workspace / "a,b.safetensors", workspace / "a_b.safetensors", workspace / "c.safetensors"]
+        for path in paths:
+            path.write_bytes((workspace / "fine.safetensors").read_bytes())
+        code = run(["merge", "--base", workspace / "base.safetensors",
+                    *[arg for path in paths for arg in ("--model", path)],
+                    "--density", "0.5", "--out", workspace / "merged.safetensors"])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[3:6]
+        assert [row.split()[0] for row in rows] == ["a_b", "a_b#1", "c"]
+        metadata = lewis.read_checkpoint(workspace / "merged.safetensors").metadata
+        assert metadata["merge.models"] == "a_b,a_b#1,c"
+
     def test_stem_that_looks_like_a_suffixed_id_gets_its_own_id(self, workspace, capsys):
         """`x#2` is a stem here, so the second `x` counts on to `x#3`: three ids, three plan digests."""
         paths = [workspace / "x#2.safetensors", workspace / "x.safetensors", workspace / "d" / "x.safetensors"]

@@ -107,6 +107,17 @@ def test_ties_combine_matches_where_oracle(stack):
         _same_bytes(ties_combine(list(stack)), expected)
 
 
+def test_ties_combine_counts_past_255_models():
+    # The counts take the smallest unsigned type that holds the model count:
+    # uint8 would wrap the 290 agreeing entries of one element here to 34.
+    rng = np.random.default_rng(300)
+    stack = rng.integers(1, 4, size=(300, 1)).astype(np.float64)
+    stack[rng.choice(300, size=10, replace=False)] *= -1.0
+    expected = ties_where_oracle(np.stack([stack, stack], axis=-1))[..., 0]
+    _same_bytes(ties_combine(stack), expected)
+    _same_bytes(ties_combine(list(stack)), expected)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     values=_arrays(),

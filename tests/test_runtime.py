@@ -577,6 +577,13 @@ class TestCalibrationFiles:
             CalibrationSet.from_file(path, vocab_size=120)
         assert str(info.value) == f"{path}: line 2: token ids must lie in [0, 120)"
 
+    def test_key_given_twice_names_line_and_key(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"text": "ok"}\n{"text": "a", "text": "b"}\n')
+        with pytest.raises(CalibrationError) as info:
+            CalibrationSet.from_file(path)
+        assert str(info.value) == f"{path}: line 2: not valid JSON: key 'text' appears twice in one object"
+
     def test_save_round_trip(self, tmp_path):
         calib = CalibrationSet(samples=[[1, 2], [3]], source="unit")
         calib.save(tmp_path / "c.jsonl")
