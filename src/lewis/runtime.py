@@ -9,14 +9,20 @@ involved. All arithmetic runs in float64.
 
 Attention runs as batched matmuls over heads: scores are q (heads, T, dh)
 @ k (heads, dh, T) and the output is the causal softmax (heads, T, T) @ v
-(heads, T, dh), so BLAS does the work. Results are bitwise deterministic
-for a given numpy and BLAS build. Given the same input, each block agrees
-with the reference block that tests/test_runtime.py keeps (the earlier
-form, which contracted the heads outside BLAS) within rtol=1e-12 plus
-atol=1e-12 times the largest |value| of its output; the order of the sums
-is all that differs. Run end to end, the gap grows with depth and weight
-scale, because each block amplifies the rounding it is handed (about 15x
-per block at weight scale ~1).
+(heads, T, dh), so BLAS does the work. The softmax computes only the
+causal lower triangle (`where=` on the max, the shift and the exp, into a
+zeroed array), and each block does its other elementwise work in place on
+arrays it has just made, never on its input or a weight. Every entry gets
+the same IEEE operations as in the earlier out-of-place form, which
+computed all of softmax(where(causal, s, -inf)), so the bytes are the same;
+tests/test_runtime.py keeps that form as a byte oracle. Results are
+bitwise deterministic for a given numpy and BLAS build. Given the same
+input, each block also agrees with the einsum block that the tests keep
+(an older form, which contracted the heads outside BLAS) within rtol=1e-12
+plus atol=1e-12 times the largest |value| of its output; the order of the
+sums is all that differs. Run end to end, the gap grows with depth and
+weight scale, because each block amplifies the rounding it is handed
+(about 15x per block at weight scale ~1).
 
 Activation capture returns, per block, the post-residual block output as a
 (tokens, hidden) matrix; profiles reduce those to one scalar per block
@@ -25,9 +31,10 @@ can never be compared silently.
 
 Inputs are checked once per call, before any arithmetic. `forward_capture`
 checks the tensors it reads (`check_checkpoint`, the one weight rule) and
-the tokens (`_check_tokens`, the one token rule); `forward_logits` also
-checks `final_norm` and `head`. The blocks then read their weights
-unchecked. `profile_model` and `eval_loss` differ only in their
+the tokens (`_check_tokens`, the one token rule); `forward_logits` makes
+the same two checks, with `final_norm` and `head` in the first. Both then
+run the blocks through `_blocks`, which reads the weights unchecked.
+`profile_model` and `eval_loss` differ only in their
 per-sample function; both run it through one calibration pass
 (`_sample_sum`). The pass checks every sample with the same token rule,
 naming the first bad one, before any forward runs (`profile_model` checks
@@ -243,18 +250,41 @@ class CalibrationSet:
 # --------------------------------------------------------------------------- #
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
-    return x / scale * gain
+    """x / sqrt(mean(x * x) + eps) * gain over the last axis; the output is its one temporary the size of `x`."""
+    out = x * x
+    scale = np.add.reduce(out, axis=-1, keepdims=True)  # np.mean's own sum and divide
+    scale /= x.shape[-1]
+    scale += _RMS_EPS
+    np.sqrt(scale, out=scale)
+    np.divide(x, scale, out=out)
+    out *= gain
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """GELU, 0.5 * x * (1 + erf(x / sqrt(2))), written into `x`, which is returned."""
+    t = x / np.sqrt(2.0)
+    erf(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+    return x
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _causal_softmax(scores: np.ndarray, causal: np.ndarray) -> np.ndarray:
+    """Softmax of each row of `scores` over its entries where `causal` holds, 0 elsewhere.
+
+    Only the masked entries are computed: the row max, the shift and the exp
+    run with `where=causal` into a zeroed array, so each entry gets the same
+    operations it got as softmax(where(causal, scores, -inf)) and the rows
+    sum the same values in the same order.
+    """
+    peak = np.maximum.reduce(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf)
+    e = np.zeros_like(scores)
+    np.subtract(scores, peak, out=e, where=causal)
+    np.exp(e, out=e, where=causal)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _check_tokens(
@@ -283,7 +313,8 @@ def _check_tokens(
         raise error(f"{label}: token ids must lie in [0, {vocab_size})")
 
 
-def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
+def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray, causal: np.ndarray) -> np.ndarray:
+    """Block `i` on input `h` (left unchanged); `causal` is the (T, T) lower-triangle mask."""
     attn_norm, wq, wk, wv, wo, mlp_norm, up, down = (ckpt[f"blocks.{i}.{part}.weight"] for part in _block_shapes(arch))
     d = arch.hidden_dim
     dh = d // arch.num_heads
@@ -297,33 +328,41 @@ def _block_forward(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) ->
     q = q.reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
     k = k.reshape(T, arch.num_heads, dh).transpose(1, 2, 0)
     v = v.reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
-    scores = (q @ k) / np.sqrt(dh)
-    causal = np.tril(np.ones((T, T), dtype=bool))
-    scores = np.where(causal[None, :, :], scores, -np.inf)
-    attn = (_softmax(scores) @ v).transpose(1, 0, 2).reshape(T, d)
-    h = h + attn @ wo.T
+    scores = q @ k
+    scores /= np.sqrt(dh)
+    attn = (_causal_softmax(scores, causal) @ v).transpose(1, 0, 2).reshape(T, d)
+    y = attn @ wo.T
+    y += h
 
-    x = _rms_norm(h, mlp_norm)
-    h = h + _gelu(x @ up.T) @ down.T
-    return h
+    x = _rms_norm(y, mlp_norm)
+    out = _gelu(x @ up.T) @ down.T
+    out += y
+    return out
+
+
+def _blocks(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> list[np.ndarray]:
+    """Each block's output on checked weights and tokens; every array is new, so captures share no memory."""
+    h = ckpt["embed.weight"][np.asarray(tokens, dtype=np.int64)]
+    causal = np.tri(len(tokens), dtype=bool)
+    captures: list[np.ndarray] = []
+    for i in range(arch.num_blocks):
+        h = _block_forward(ckpt, arch, i, h, causal)
+        captures.append(h)
+    return captures
 
 
 def forward_capture(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> list[np.ndarray]:
     """Run the decoder and return each block's output, a (tokens, hidden) matrix."""
     check_checkpoint(ckpt, arch, "checkpoint", output_layers=False)
     _check_tokens(tokens, arch.vocab_size, arch.max_seq_len)
-    h = ckpt["embed.weight"][np.asarray(tokens, dtype=np.int64)]
-    captures: list[np.ndarray] = []
-    for i in range(arch.num_blocks):
-        h = _block_forward(ckpt, arch, i, h)  # a new array: blocks never write into their input
-        captures.append(h)
-    return captures
+    return _blocks(ckpt, arch, tokens)
 
 
 def forward_logits(ckpt: Checkpoint, arch: ArchConfig, tokens: list[int]) -> np.ndarray:
     """Next-token logits at every position, shape (tokens, vocab)."""
     check_checkpoint(ckpt, arch, "checkpoint")
-    h = forward_capture(ckpt, arch, tokens)[-1]
+    _check_tokens(tokens, arch.vocab_size, arch.max_seq_len)
+    h = _blocks(ckpt, arch, tokens)[-1]
     return _rms_norm(h, ckpt["final_norm.weight"]) @ ckpt["head.weight"].T
 
 

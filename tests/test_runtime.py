@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 import lewis
 from lewis import (
@@ -27,10 +29,8 @@ from lewis import (
 from lewis import runtime
 from lewis.errors import ArchError, CalibrationError, ProfileMismatchError
 from lewis.runtime import (
+    _causal_softmax,
     _forward_workers,
-    _gelu,
-    _rms_norm,
-    _softmax,
     check_checkpoint,
     tensor_shapes,
 )
@@ -168,6 +168,19 @@ class TestForwardCapture:
         with pytest.raises(ArchError, match="head.weight"):
             forward_logits(Checkpoint(tensors), small_arch, [1, 2])
 
+    def test_logits_check_weights_once_per_forward(self, monkeypatch, small_arch):
+        checks = []
+        check = runtime.check_checkpoint
+        monkeypatch.setattr(runtime, "check_checkpoint", lambda *args, **kwargs: checks.append(check(*args, **kwargs)))
+        eval_loss(random_checkpoint(small_arch, seed=3), small_arch, CalibrationSet([[1, 2], [3, 4, 5], [6, 7]]))
+        assert len(checks) == 3
+
+    def test_logits_name_weights_before_tokens(self, small_arch):
+        ckpt = random_checkpoint(small_arch, seed=3)
+        no_head = Checkpoint({n: ckpt[n] for n in ckpt.names() if n != "head.weight"})
+        with pytest.raises(ArchError, match=r"^checkpoint: missing tensor 'head\.weight', expected shape \[256, 8\]$"):
+            forward_logits(no_head, small_arch, [])
+
     def test_sequence_too_long(self, small_arch):
         ckpt = zero_checkpoint(small_arch)
         with pytest.raises(ArchError, match="max_seq_len"):
@@ -188,6 +201,48 @@ class TestForwardCapture:
     def test_non_integer_id_is_arch_error(self, small_arch, tokens):
         with pytest.raises(ArchError, match=r"^token sequence: token ids must lie in \[0, 256\)$"):
             forward_capture(zero_checkpoint(small_arch), small_arch, tokens)
+
+
+# The runtime's earlier elementwise formulas, kept as oracles: each returns a new array.
+
+def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
+    return x / scale * gain
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _masked_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each (T, T) slice's rows with the upper triangle set to -inf first."""
+    T = scores.shape[-1]
+    causal = np.tril(np.ones((T, T), dtype=bool))
+    return _softmax(np.where(causal[None, :, :], scores, -np.inf))
+
+
+def reference_block(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
+    """Block `i`'s output on input `h` from the earlier batched-matmul body, which computed out of place."""
+    d = arch.hidden_dim
+    dh = d // arch.num_heads
+    T = h.shape[0]
+    w = {name: ckpt[f"blocks.{i}.{name}.weight"] for name in
+         ("attn_norm", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp_norm", "mlp.up", "mlp.down")}
+    x = _rms_norm(h, w["attn_norm"])
+    q = (x @ w["attn.wq"].T).reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
+    k = (x @ w["attn.wk"].T).reshape(T, arch.num_heads, dh).transpose(1, 2, 0)
+    v = (x @ w["attn.wv"].T).reshape(T, arch.num_heads, dh).transpose(1, 0, 2)
+    scores = (q @ k) / np.sqrt(dh)
+    attn = (_masked_softmax(scores) @ v).transpose(1, 0, 2).reshape(T, d)
+    h = h + attn @ w["attn.wo"].T
+    x = _rms_norm(h, w["mlp_norm"])
+    return h + _gelu(x @ w["mlp.up"].T) @ w["mlp.down"].T
 
 
 def einsum_block_oracle(ckpt: Checkpoint, arch: ArchConfig, i: int, h: np.ndarray) -> np.ndarray:
@@ -285,6 +340,65 @@ def test_block_outputs_ignore_later_tokens(run, data):
     changed = tokens[: t + 1] + tail
     for a, b in zip(forward_capture(ckpt, arch, tokens), forward_capture(ckpt, arch, changed)):
         assert_close_to(b[: t + 1], a[: t + 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_decoder_runs())
+@example(run=_deep_run())
+def test_forward_bytes_equal_reference_block(run):
+    """Every capture and the logits have the same bytes as the earlier out-of-place block body."""
+    arch, ckpt, tokens = run
+    h = ckpt["embed.weight"][np.asarray(tokens)]
+    expected = []
+    for i in range(arch.num_blocks):
+        h = reference_block(ckpt, arch, i, h)
+        expected.append(h)
+    got = forward_capture(ckpt, arch, tokens)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    logits = _rms_norm(h, ckpt["final_norm.weight"]) @ ckpt["head.weight"].T
+    assert forward_logits(ckpt, arch, tokens).tobytes() == logits.tobytes()
+
+
+@st.composite
+def _score_stacks(draw):
+    """(heads, T, T) scores: T from 1, draws that tie, signed zeros and gaps past ~745, where exp underflows to 0."""
+    heads, T = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    elements = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e3, -1e3]))
+    return draw(arrays(np.float64, (heads, T, T), elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=_score_stacks())
+@example(scores=np.array([[[-0.0]]]))
+@example(scores=np.array([[[1e3, -1e3], [-1e3, 1e3]], [[-0.0, 0.0], [0.0, -0.0]]]))
+def test_causal_softmax_bytes_equal_masked_softmax(scores):
+    """The triangle-only softmax equals softmax(where(causal, s, -inf)) bytewise and leaves `s` unchanged.
+
+    Row 0 of every (T, T) slice has a single unmasked entry.
+    """
+    before = scores.tobytes()
+    got = _causal_softmax(scores, np.tri(scores.shape[-1], dtype=bool))
+    assert got.tobytes() == _masked_softmax(scores).tobytes()
+    assert scores.tobytes() == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=_decoder_runs())
+def test_forward_writes_no_weight_and_shares_no_memory(run):
+    """The blocks' in-place arithmetic touches only arrays they made.
+
+    After forward_capture and forward_logits every tensor, the embedding
+    included, keeps its bytes; no capture shares memory with another
+    capture or with a tensor.
+    """
+    arch, ckpt, tokens = run
+    before = {name: ckpt[name].tobytes() for name in ckpt.names()}
+    captures = forward_capture(ckpt, arch, tokens)
+    forward_logits(ckpt, arch, tokens)
+    assert {name: ckpt[name].tobytes() for name in ckpt.names()} == before
+    for j, capture in enumerate(captures):
+        assert not any(np.shares_memory(capture, other) for other in captures[j + 1:])
+        assert not any(np.shares_memory(capture, ckpt[name]) for name in ckpt.names())
 
 
 _RULE_ARCH = ArchConfig(vocab_size=256, hidden_dim=8, num_blocks=2, num_heads=2, mlp_dim=16, max_seq_len=32)
