@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import struct
 import uuid
@@ -116,6 +117,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
+def _is_int(value: object) -> bool:
+    """The one int rule, for sizes, counts, seeds, block and token ids and header shapes: an int or a numpy int,
+    never a bool. A caller that keeps the value keeps int(value)."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def _is_str_map(value: object) -> bool:  # the one rule for checkpoint metadata and plan provenance
     return isinstance(value, Mapping) and all(isinstance(k, str) and isinstance(v, str) for k, v in value.items())
 
@@ -138,7 +145,7 @@ def _int_list(
     """`value` as a tuple if it is a list of ints (bools rejected), of `length` items if given."""
     if (
         not isinstance(value, list)
-        or any(type(v) is not int for v in value)
+        or not all(map(_is_int, value))  # JSON gives Python ints, so the tuple needs no int()
         or (length is not None and len(value) != length)
     ):
         count = "" if length is None else f"{length} "

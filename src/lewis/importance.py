@@ -18,7 +18,7 @@ bounds [gamma, epsilon]:
 
 Both normalizations and topk read per-block scores under one rule
 (`_check_scores`): at least one block, each block id an int, and each score
-a finite real >= 0.
+a finite real >= 0, read as a Python float.
 
 Plan modes beyond the two lewis ones: uniform (single density everywhere),
 topk (top k% most-deviating blocks at a high density, rest low) and
@@ -34,7 +34,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .checkpoint import _is_str_map
+import numpy as np
+
+from .checkpoint import _is_int, _is_str_map
 from .documents import Document
 from .errors import PlanError, ProfileMismatchError
 from .roles import BLOCK_KINDS, TensorRole
@@ -48,18 +50,31 @@ def _is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _float(value: object) -> float:
+    """The one stored form of a real: the Python float of a finite real, else NaN (which fails every range check).
+    Ints and fractions meet the float range exactly, unrounded; a numpy float becomes the decimal it prints, with
+    no overflow warning (np.float32(0.8) gives 0.8, not 0.800000011920929, and 0.8 narrows back to that float32)."""
+    if isinstance(value, numbers.Rational):  # ints, numpy ints and fractions
+        fits = not isinstance(value, bool) and -sys.float_info.max <= value <= sys.float_info.max
+        return float(value) if fits else math.nan
+    if isinstance(value, np.floating):
+        value = float(str(value))
+    return float(value) if isinstance(value, numbers.Real) and math.isfinite(value) else math.nan
+
+
 def _is_finite_real(value: object) -> bool:
-    """A real (not a bool) of magnitude at most float max: fails NaN, inf and ints beyond the float range."""
-    return _is_real(value) and -sys.float_info.max <= value <= sys.float_info.max
+    """A real (not a bool) of magnitude at most float max: fails NaN, inf, and ints or fractions past that."""
+    return not math.isnan(_float(value))
 
 
 def _check_density(value: float, what: str = "density", error: type[Exception] = ValueError) -> float:
     """`value` as a float if it is a keep-density in (0, 1], else raise `error` naming `what`."""
     if not _is_real(value):
         raise error(f"{what} must be a number, got {value!r}")
-    if not 0.0 < value <= 1.0:  # before float(), which overflows on a huge int; NaN fails too
+    density = _float(value)
+    if not 0.0 < density <= 1.0:  # NaN fails too
         raise error(f"{what} must lie in (0, 1], got {value}")
-    return float(value)
+    return density
 
 
 def _check_convention(convention: object) -> None:
@@ -80,17 +95,19 @@ def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
     return blocks
 
 
-def _check_scores(scores: Mapping[int, float]) -> None:
-    """The one rule for per-block scores: at least one, each an int block id to a finite real >= 0; else PlanError."""
+def _check_scores(scores: Mapping[int, float]) -> dict[int, float]:
+    """The one rule for per-block scores: at least one, each an int block id to a finite real >= 0; else PlanError.
+    Returns them as Python ints to floats, so no arithmetic on them runs at a narrower numpy precision."""
     if not scores:
         raise PlanError("importance scores are empty")
     for layer, value in scores.items():
-        if not isinstance(layer, numbers.Integral) or isinstance(layer, bool):  # ids sort and index as ints
+        if not _is_int(layer):  # ids sort and index as ints
             raise PlanError(f"block id {layer!r} must be an int")
         if _is_real(value) and value < 0:
             raise PlanError(f"raw score for layer {layer} must be >= 0, got {value}")
         if not _is_finite_real(value):
             raise PlanError(f"raw score for layer {layer} must be a finite number >= 0, got {value!r}")
+    return {int(layer): _float(value) for layer, value in scores.items()}
 
 
 @dataclass(frozen=True)
@@ -101,12 +118,13 @@ class SparsityBounds:
     epsilon: float = 0.8
 
     def __post_init__(self):
-        if not (_is_real(self.gamma) and _is_real(self.epsilon)) or not (
-            0.0 < self.gamma <= self.epsilon <= 1.0
-        ):
+        gamma, epsilon = _float(self.gamma), _float(self.epsilon)
+        if not 0.0 < gamma <= epsilon <= 1.0:
             raise PlanError(
                 f"bounds must satisfy 0 < gamma <= epsilon <= 1, got [{self.gamma}, {self.epsilon}]"
             )
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 @dataclass
@@ -122,9 +140,9 @@ class ActivationProfile(Document, error=ProfileMismatchError):
         if not isinstance(self.model_id, str):
             raise ProfileMismatchError(f"model_id must be a string, got {self.model_id!r}")
         n = self.num_samples
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ProfileMismatchError(f"num_samples must be an int >= 1, got {n!r}")
-        self.num_samples = int(n)  # a numpy int would not save as JSON
+        self.num_samples = int(n)
         _check_convention(self.norm_convention)
         self.layer_norms = _by_block(self.layer_norms, "layer_norms", ProfileMismatchError)
         if not self.layer_norms:  # a plan needs at least one block to set densities from
@@ -137,7 +155,7 @@ class ActivationProfile(Document, error=ProfileMismatchError):
                 raise ProfileMismatchError(
                     f"layer_norms: layer {layer} norm must be a finite number >= 0, got {value!r}"
                 )
-            self.layer_norms[layer] = float(value)
+            self.layer_norms[layer] = _float(value)
 
 
 @dataclass
@@ -243,10 +261,10 @@ def normalize_and_clip(
     """
     if mode not in ("literal", "minmax"):
         raise PlanError(f"unknown normalization mode {mode!r}")
-    _check_scores(raw)
+    raw = _check_scores(raw)
     layers = sorted(raw)
     if mode == "literal":
-        total = float(sum(raw[l] for l in layers))
+        total = sum(raw[l] for l in layers)
         if total == 0.0:
             return {l: bounds.gamma for l in layers}
         return {l: min(max(raw[l] / total, bounds.gamma), bounds.epsilon) for l in layers}
@@ -275,7 +293,7 @@ def build_plan_lewis(
         model_id=model_profile.model_id,
         mode=f"lewis-{mode}",
         densities=densities,
-        default_density=float(sum(densities.values()) / len(densities)),
+        default_density=sum(densities.values()) / len(densities),
         bounds=bounds,
         provenance={
             "model_profile": model_profile.digest(),
@@ -295,13 +313,13 @@ def build_plan_topk(
 
     Ties broken toward the lower block index.
     """
-    _check_scores(scores)
-    if not (_is_real(k_percent) and 0.0 < k_percent <= 100.0):
+    scores = _check_scores(scores)
+    k = _float(k_percent)
+    if not 0.0 < k <= 100.0:
         raise PlanError(f"k_percent must be a number in (0, 100], got {k_percent!r}")
-    _check_density(hi, "hi density", PlanError)
-    _check_density(lo, "lo density", PlanError)
+    hi, lo = _check_density(hi, "hi density", PlanError), _check_density(lo, "lo density", PlanError)
     layers = sorted(scores)
-    count = math.ceil(k_percent / 100.0 * len(layers))
+    count = math.ceil(k / 100.0 * len(layers))
     ranked = sorted(layers, key=lambda l: (-scores[l], l))
     top = set(ranked[:count])
     densities = {l: (hi if l in top else lo) for l in layers}
@@ -309,7 +327,7 @@ def build_plan_topk(
         model_id=model_id,
         mode="topk",
         densities=densities,
-        default_density=float(sum(densities.values()) / len(densities)),
+        default_density=sum(densities.values()) / len(densities),
     )
 
 
@@ -322,8 +340,7 @@ def build_plan_layer_type(
     """Keep one role kind (Q/K/V/O/MLP) at `hi`; every other block tensor at `lo`."""
     if role_kind not in BLOCK_KINDS:
         raise PlanError(f"role must be one of {sorted(BLOCK_KINDS)}, got {role_kind!r}")
-    _check_density(hi, "hi density", PlanError)
-    _check_density(lo, "lo density", PlanError)
+    hi, lo = _check_density(hi, "hi density", PlanError), _check_density(lo, "lo density", PlanError)
     overrides = {kind: (hi if kind == role_kind else lo) for kind in sorted(BLOCK_KINDS)}
     return SparsityPlan(
         model_id=model_id or f"only-{role_kind.lower()}",

@@ -124,7 +124,7 @@ def resolve_plans(recipe: MergeRecipe, model_ids: Sequence[str]) -> list[Sparsit
     """Plans from the recipe's plan_refs: paths, a uniform density, or full density."""
     if isinstance(recipe.plan_refs, list):
         return [SparsityPlan.load(p) for p in recipe.plan_refs]
-    density = 1.0 if recipe.plan_refs is None else float(recipe.plan_refs)
+    density = 1.0 if recipe.plan_refs is None else recipe.plan_refs
     return [build_plan_uniform(density, model_id) for model_id in model_ids]
 
 

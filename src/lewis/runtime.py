@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .checkpoint import Checkpoint, _unique_keys, _write_atomic
+from .checkpoint import Checkpoint, _is_int, _unique_keys, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError, MergeError
 from .importance import ActivationProfile, _check_convention
@@ -83,10 +83,11 @@ class ArchConfig(Document, error=ArchError):
     def __post_init__(self, naming_scheme):
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            if type(value) is not int:  # a float or bool size breaks shapes later
+            if not _is_int(value):  # a float or bool size breaks shapes later
                 raise ArchError(f"{name} must be an int, got {value!r}")
             if value <= 0:
                 raise ArchError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, int(value))
         if naming_scheme != "toy":
             raise ArchError(f"naming_scheme must be 'toy', got {naming_scheme!r}")
         if self.hidden_dim % self.num_heads != 0:
@@ -157,7 +158,7 @@ def random_checkpoint(arch: ArchConfig, seed: int, scale: float = 0.05) -> Check
 
 def _check_max_seq_len(max_seq_len: object) -> None:
     """Raise CalibrationError unless `max_seq_len` is None (no truncation) or an int >= 1."""
-    if max_seq_len is not None and not (type(max_seq_len) is int and max_seq_len >= 1):
+    if max_seq_len is not None and not (_is_int(max_seq_len) and max_seq_len >= 1):
         raise CalibrationError(f"max_seq_len must be an int >= 1 or None, got {max_seq_len!r}")
 
 
@@ -222,9 +223,7 @@ class CalibrationSet:
                 raise CalibrationError(f"{where}: record must be an object, got {type(record).__name__}")
             if "tokens" in record:
                 tokens = record["tokens"]
-                if not isinstance(tokens, list) or not tokens or not all(
-                    isinstance(t, int) and not isinstance(t, bool) for t in tokens
-                ):
+                if not isinstance(tokens, list) or not tokens or not all(map(_is_int, tokens)):
                     raise CalibrationError(f"{where}: field 'tokens' must be a non-empty list of ints")
                 sample = tokens[:max_seq_len]
             elif "text" in record:
@@ -241,7 +240,11 @@ class CalibrationSet:
         return cls(samples=samples, source=str(path))
 
     def save(self, path: str | Path) -> None:
-        lines = [json.dumps({"tokens": sample}) for sample in self.samples]
+        """One {"tokens": [...]} record per sample, ids as plain ints: the records from_file reads back."""
+        for i, sample in enumerate(self.samples, start=1):
+            if bad := [t for t in sample if not _is_int(t)]:
+                raise CalibrationError(f"{self.source}: sample {i}: token ids must be ints, got {bad[0]!r}")
+        lines = [json.dumps({"tokens": list(map(int, sample))}) for sample in self.samples]
         _write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
@@ -293,8 +296,9 @@ def _check_tokens(
 ) -> None:
     """The one token rule: raise `error` naming `label` unless the forward can take `tokens`.
 
-    `tokens` must hold max(1, min_tokens) to `max_seq_len` ids, each an int in
-    [0, vocab_size); a bool, float or string id gets the out-of-range message.
+    `tokens` must hold max(1, min_tokens) to `max_seq_len` ids, each an int (a
+    numpy int too) in [0, vocab_size); a bool, float or string id gets the
+    out-of-range message.
     With no `vocab_size`, only the length is checked.
     """
     try:
@@ -307,9 +311,7 @@ def _check_tokens(
         raise error(f"{label} has {n} tokens, need >= {min_tokens}")
     if max_seq_len is not None and n > max_seq_len:
         raise error(f"{label} has {n} tokens, exceeds max_seq_len {max_seq_len}")
-    if vocab_size is not None and not all(
-        isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < vocab_size for t in tokens
-    ):
+    if vocab_size is not None and not all(_is_int(t) and 0 <= t < vocab_size for t in tokens):
         raise error(f"{label}: token ids must lie in [0, {vocab_size})")
 
 
@@ -426,7 +428,7 @@ def profile_model(
     norms = _sample_sum(block_norms, arch, calib) / len(calib.samples)
     return ActivationProfile(
         model_id=model_id,
-        layer_norms={layer: float(norm) for layer, norm in enumerate(norms)},
+        layer_norms=dict(enumerate(norms)),
         num_samples=len(calib.samples),
         norm_convention=convention,
     )

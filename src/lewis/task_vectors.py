@@ -8,7 +8,7 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -16,10 +16,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .buffers import all_finite, copied, empty
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, _is_int
 from .documents import Document
 from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError
-from .importance import _check_density, _is_finite_real, _is_real
+from .importance import _check_density, _float, _is_finite_real, _is_real
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
 
@@ -120,8 +120,18 @@ def finalize_checkpoint(
     return out
 
 
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def _path(value: object) -> str | None:
+    """`value` as a str if it is a str path or an os.PathLike naming one, else None."""
+    path = os.fspath(value) if isinstance(value, os.PathLike) else value
+    return path if isinstance(path, str) else None
+
+
+def _paths(value: object) -> list[str] | None:
+    """`value` as a list of str if it is a list of paths, else None."""
+    if not isinstance(value, list):
+        return None
+    paths = list(map(_path, value))
+    return None if None in paths else paths
 
 
 @dataclass
@@ -141,10 +151,12 @@ class MergeRecipe(Document, error=RecipeError):
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.base_path, str):  # open() would take an int as a file descriptor
+        base_path, model_paths = _path(self.base_path), _paths(self.model_paths)
+        if base_path is None:  # open() would take an int as a file descriptor
             raise RecipeError(f"base_path must be a path, got {self.base_path!r}")
-        if not _is_str_list(self.model_paths):
+        if model_paths is None:
             raise RecipeError(f"model_paths must be a list of paths, got {self.model_paths!r}")
+        self.base_path, self.model_paths = base_path, model_paths
         if not self.model_paths:
             raise RecipeError("recipe needs at least one model")
         if not isinstance(self.alphas, list) or not all(map(_is_finite_real, self.alphas)):
@@ -155,18 +167,19 @@ class MergeRecipe(Document, error=RecipeError):
             raise RecipeError(
                 f"{len(self.model_paths)} models but {len(self.alphas)} alphas"
             )
-        self.alphas = [float(a) for a in self.alphas]
+        self.alphas = [_float(a) for a in self.alphas]
         if self.method not in MERGE_METHODS:
             raise RecipeError(f"unknown method {self.method!r}; known: {list(MERGE_METHODS)}")
         refs = self.plan_refs
-        if _is_str_list(refs):
-            if len(refs) != len(self.model_paths):
-                raise RecipeError(f"{len(self.model_paths)} models but {len(refs)} plan refs")
+        if (paths := _paths(refs)) is not None:
+            if len(paths) != len(self.model_paths):
+                raise RecipeError(f"{len(self.model_paths)} models but {len(paths)} plan refs")
+            self.plan_refs = paths
         elif _is_real(refs):
-            _check_density(refs, "uniform plan density", RecipeError)
+            self.plan_refs = _check_density(refs, "uniform plan density", RecipeError)
         elif refs is not None:
             raise RecipeError(f"plan_refs must be null, a density or a list of plan paths, got {refs!r}")
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise RecipeError(f"seed must be an int, got {self.seed!r}")
         self.seed = int(self.seed)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lewis import (
     Checkpoint,
+    TensorRole,
     detect_naming_scheme,
     read_checkpoint,
     role_classifier,
@@ -90,6 +91,22 @@ class TestRoundTrip:
         reverse_data_region(canonical, reversed_)
         assert reversed_.read_bytes() != canonical.read_bytes()
         assert read_checkpoint(reversed_) == read_checkpoint(canonical) == ckpt
+
+
+class TestContainer:
+    def test_membership(self):
+        ckpt = Checkpoint({"w": np.ones(2)})
+        assert "w" in ckpt and "v" not in ckpt and len(ckpt) == 1
+
+    def test_equality_compares_names_dtypes_metadata_and_values(self):
+        ckpt = Checkpoint({"w": np.ones(2)}, metadata={"k": "v"})
+        assert ckpt == Checkpoint({"w": np.ones(2)}, metadata={"k": "v"})
+        assert ckpt != Checkpoint({"v": np.ones(2)}, metadata={"k": "v"})
+        assert ckpt != Checkpoint({"w": np.ones(2)}, "F16", {"k": "v"})
+        assert ckpt != Checkpoint({"w": np.ones(2)})
+        assert ckpt != Checkpoint({"w": np.zeros(2)}, metadata={"k": "v"})
+        assert ckpt != Checkpoint({"w": np.ones((1, 2))}, metadata={"k": "v"})
+        assert ckpt.__eq__({"w": np.ones(2)}) is NotImplemented and ckpt != {"w": np.ones(2)}
 
 
 class TestCanonicalWriter:
@@ -399,6 +416,14 @@ class TestFormatErrors:
         with pytest.raises(InvalidTensorError):
             Checkpoint({"w": np.zeros((0, 3))})
 
+    def test_zero_element_tensor_not_written(self, tmp_path):
+        """The writer checks again: `tensors` is a public dict, so an entry can be replaced after construction."""
+        ckpt = Checkpoint({"a": np.ones(2), "w": np.ones(2)})
+        ckpt.tensors["w"] = np.zeros((0, 3))
+        with pytest.raises(InvalidTensorError, match="^tensor 'w' has zero elements$"):
+            write_checkpoint(ckpt, tmp_path / "c.safetensors")
+        assert list(tmp_path.iterdir()) == []
+
     def test_dtype_map_without_entry_names_tensor(self):
         with pytest.raises(CheckpointError, match="'b'") as info:
             Checkpoint({"a": np.ones(2), "b": np.ones(2)}, {"a": "BF16"})
@@ -515,6 +540,13 @@ class TestClassify:
             role = role_classifier("llama-style")(name)
             assert role.kind == expected_kind
             assert role.block_index == block
+
+    def test_role_kind_and_block_index_are_checked(self):
+        with pytest.raises(ValueError, match="^unknown role kind 'Bias'$"):
+            TensorRole("Bias")
+        with pytest.raises(ValueError, match="^kind Q requires a block index$"):
+            TensorRole("Q")
+        assert TensorRole("Norm").block_index is None
 
     def test_unregistered_scheme(self):
         with pytest.raises(ValueError, match="unregistered"):

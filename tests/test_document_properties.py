@@ -13,14 +13,19 @@ digest, and a key that is not the text str() writes for a block, or a
 second key for one block, is the document's error naming the field.
 """
 
+import dataclasses
+import hashlib
 import io
 import json
+import math
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lewis
@@ -201,3 +206,115 @@ def test_key_given_twice_in_a_file_is_named_error(tmp_path, kind):
     path.write_text(text.replace('"1": ', f'"1": {valid[field]["0"]}, "1": '))
     with pytest.raises(cls._error, match=f"^{re.escape(str(path))}: not valid JSON: key '1' appears twice"):
         cls.load(path)
+
+
+# Numbers as Python, numpy and fractions give them: each kind has one rule and one stored form.
+INT_KINDS = (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+FLOAT_WIDTHS = {np.float16: 16, np.float32: 32, np.float64: 64}
+
+
+def ints(lo, hi=2**64 - 1):
+    """An int in [lo, hi] as a Python int or any numpy int kind that holds it."""
+    kinds = [st.integers(lo, hi)]
+    for kind in INT_KINDS[1:]:
+        info = np.iinfo(kind)
+        if max(lo, int(info.min)) <= min(hi, int(info.max)):
+            kinds.append(st.integers(max(lo, int(info.min)), min(hi, int(info.max))).map(kind))
+    return pick(*kinds)
+
+
+def reals(lo, hi):
+    """A real in [lo, hi] as a Python float, a numpy float of any width, a fraction or an int."""
+    return pick(
+        st.floats(lo, hi),
+        *(st.floats(max(lo, float(np.finfo(kind).min)), min(hi, float(np.finfo(kind).max)), width=width).map(kind)
+          for kind, width in FLOAT_WIDTHS.items()),
+        st.fractions(lo, hi, max_denominator=10**6),
+        ints(math.ceil(lo), math.floor(hi)) if math.ceil(lo) <= math.floor(hi) else st.nothing(),
+    )
+
+
+DENSITIES = reals(2**-10, 1)  # above 0, and exact at every float width
+# key=float: Fraction(1, 1024) < np.int8(1) multiplies 1024 by an int8, which overflows.
+BOUNDS = st.lists(DENSITIES, min_size=2, max_size=2).map(lambda pair: sorted(pair, key=float))
+PATHS = st.lists(st.text("ab.-_", min_size=1, max_size=4), max_size=3).map(lambda parts: Path("/", *parts))
+PATHS = pick(PATHS, PATHS.map(str))
+
+DOCUMENT_DRAWS = {
+    "arch": st.tuples(st.integers(1, 8), st.integers(1, 16)).flatmap(lambda shape: st.builds(
+        lambda heads, hidden, rest: lewis.ArchConfig(num_heads=heads, hidden_dim=hidden, **rest),
+        ints(shape[0], shape[0]), ints(shape[0] * shape[1], shape[0] * shape[1]),
+        st.fixed_dictionaries({}, optional={key: ints(1, 1000) for key in
+                                            ("vocab_size", "num_blocks", "mlp_dim", "max_seq_len")}),
+    )),
+    "profile": st.builds(
+        lambda norms, n, convention: lewis.ActivationProfile("m", dict(enumerate(norms)), n, convention),
+        st.lists(reals(0, 1e6), min_size=1, max_size=4), ints(1), st.sampled_from(["mean-token-l2", "frobenius"]),
+    ),
+    "plan": st.builds(
+        lewis.SparsityPlan,
+        st.text(max_size=3),
+        st.sampled_from(["lewis-minmax", "topk", "uniform"]),
+        st.dictionaries(ints(0, 2**63), DENSITIES, max_size=4),
+        st.none() | DENSITIES,
+        st.none() | BOUNDS | BOUNDS.map(lambda pair: lewis.SparsityBounds(*pair)),
+        st.none() | st.dictionaries(st.sampled_from(["Q", "K", "V", "O", "MLP"]), DENSITIES),
+        st.none() | st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+    ),
+    "recipe": st.integers(1, 3).flatmap(lambda n: st.builds(
+        lewis.MergeRecipe,
+        PATHS,
+        st.lists(PATHS, min_size=n, max_size=n),
+        st.lists(reals(-1e6, 1e6), min_size=n, max_size=n) | st.just([]),
+        st.sampled_from(["ties", "task-arithmetic", "dare-linear", "dare-ties"]),
+        st.none() | DENSITIES | st.lists(PATHS, min_size=n, max_size=n),
+        ints(-(2**63)),
+    )),
+}
+
+
+def plain(value) -> bool:
+    """True if `value` holds only str, int, float and None, nested in lists, dicts and dataclasses."""
+    if dataclasses.is_dataclass(value):
+        return plain([getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, list):
+        return all(map(plain, value))
+    if isinstance(value, dict):
+        return all(map(plain, value)) and all(map(plain, value.values()))
+    return type(value) in (str, int, float, type(None))
+
+
+@pytest.mark.parametrize("kind", list(DOCUMENT_DRAWS))
+def test_document_saves_the_plain_values_it_holds(tmp_path, kind):
+    """Whatever numbers and paths a constructor accepts, the document holds plain ints, floats and strs,
+    saves without a warning, and loads back equal with the same digest."""
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                doc = data.draw(DOCUMENT_DRAWS[kind])
+            except lewis.MergeError:  # a draw the rules refuse: bounds whose stored floats fall in the other order
+                assume(False)
+            assert plain(doc)
+            doc.save(path)
+            loaded = type(doc).load(path)
+        assert loaded == doc and loaded.digest() == doc.digest()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == doc.digest()
+
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.lists(st.lists(ints(-(2**63)), min_size=1, max_size=5), min_size=1, max_size=4))
+def test_calibration_set_saves_the_ids_it_holds(tmp_path_factory, samples):
+    """Token ids of any int kind save as plain ints, without a warning, and read back equal."""
+    path = tmp_path_factory.mktemp("calib") / "c.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lewis.CalibrationSet(samples).save(path)
+        loaded = lewis.CalibrationSet.from_file(path)
+    assert loaded.samples == samples and plain(loaded.samples)

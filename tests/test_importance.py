@@ -1,8 +1,12 @@
 """Importance scoring, normalization rules, and all plan modes."""
 
 import hashlib
+import json
 import math
 import re
+import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from lewis import (
     build_plan_lewis,
     build_plan_topk,
     build_plan_uniform,
+    TensorRole,
     importance_deltas,
     normalize_and_clip,
 )
@@ -142,6 +147,11 @@ BAD_SCORES = {
     "none": ({0: 1.0, 1: None}, "raw score for layer 1 must be a finite number >= 0, got None"),
     "bool": ({0: True}, "raw score for layer 0 must be a finite number >= 0, got True"),
     "huge-int": ({0: 10**400}, "raw score for layer 0 must be a finite number >= 0, got 1000"),
+    "int-past-float-max": ({0: int(sys.float_info.max) + 1},  # float() would round it to the max
+                           "raw score for layer 0 must be a finite number >= 0, got 1797"),
+    "huge-fraction": ({0: Fraction(10**400, 3)},
+                      "raw score for layer 0 must be a finite number >= 0, got Fraction(1000"),
+    "numpy-inf": ({0: np.float32("inf")}, "raw score for layer 0 must be a finite number >= 0, got np.float32(inf)"),
     "negative": ({0: 1.0, 1: -1.0}, "raw score for layer 1 must be >= 0, got -1.0"),
     "empty": ({}, "importance scores are empty"),
     "str-block-id": ({0: 1.0, "a": 2.0}, "block id 'a' must be an int"),
@@ -162,6 +172,12 @@ class TestScoreRule:
             SCORE_READERS[reader](scores)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("reader", list(SCORE_READERS))
+    def test_numpy_float_scores_read_without_warning(self, reader):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SCORE_READERS[reader]({0: np.float32(1.0), 1: np.float32(3e38), 2: np.float16(0.5)})
+
     @pytest.mark.parametrize("k", ["5", None, True], ids=["str", "none", "bool"])
     def test_k_percent_must_be_a_number(self, k):
         with pytest.raises(PlanError, match=r"^k_percent must be a number in \(0, 100\], got "):
@@ -169,16 +185,26 @@ class TestScoreRule:
 
 
 class TestSparsityBounds:
-    @pytest.mark.parametrize("gamma,epsilon", [(0.0, 0.5), (-0.1, 0.5), (0.6, 0.5), (0.5, 1.1)])
+    @pytest.mark.parametrize("gamma,epsilon", [(0.0, 0.5), (-0.1, 0.5), (0.6, 0.5), (0.5, 1.1),
+                                               (Fraction(1, 10**400), 0.5)])  # a gamma stored as 0.0
     def test_invalid(self, gamma, epsilon):
         with pytest.raises(PlanError):
             SparsityBounds(gamma, epsilon)
 
-    @pytest.mark.parametrize("gamma,epsilon", [(0.5, 0.8), (0.3, 0.8), (0.5, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("gamma,epsilon", [(0.5, 0.8), (0.3, 0.8), (0.5, 1.0), (1.0, 1.0),
+                                               pytest.param(Fraction(1, 2), 1, id="fraction-int"),
+                                               pytest.param(np.float64(0.5), np.float64(0.8), id="numpy-float64")])
     def test_valid_configurations(self, gamma, epsilon):
         bounds = SparsityBounds(gamma, epsilon)
         assert bounds.gamma == gamma
         assert bounds.epsilon == epsilon
+
+    @pytest.mark.parametrize("gamma,epsilon", [(np.float32(0.5), np.float32(0.8)), (Fraction(1, 2), Fraction(4, 5)),
+                                               (np.float16(0.5), np.float16(0.8))])
+    def test_kept_as_the_python_floats_they_print(self, gamma, epsilon):
+        bounds = SparsityBounds(gamma, epsilon)
+        assert bounds == SparsityBounds(0.5, 0.8)
+        assert type(bounds.gamma) is float and type(bounds.epsilon) is float
 
 
 class TestBuildPlanLewis:
@@ -289,6 +315,13 @@ class TestBudget:
         expected = (16 * 0.6 + 64 * 0.8 + 32 * 1.0 + 8 * 0.5) / 120
         assert plan.budget(sizes, lewis.role_classifier("toy")) == pytest.approx(expected, abs=1e-15)
 
+    def test_non_block_tensor_needs_a_default(self):
+        plan = SparsityPlan("m", "topk", {0: 0.5})
+        assert plan.density_for(TensorRole("Q", 0)) == 0.5
+        message = r"^plan has no default_density for non-block tensor \(tensor 'embed\.weight'\)$"
+        with pytest.raises(PlanError, match=message):
+            plan.density_for(TensorRole("Embedding"), "embed.weight")
+
     def test_no_tensors_is_zero(self):
         assert build_plan_uniform(0.5).budget({}, lewis.role_classifier("toy")) == 0.0
 
@@ -318,6 +351,30 @@ class TestPlanAndProfileFiles:
         assert type(profile.num_samples) is int
         profile.save(tmp_path / "p.json")
         assert ActivationProfile.load(tmp_path / "p.json") == profile
+
+    def test_numpy_float_norm_is_kept_as_a_float(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = ActivationProfile("m", {0: np.float32(1.0), 1: np.float32(0.1)}, 1)
+        assert profile.layer_norms == {0: 1.0, 1: 0.1}
+        profile.save(tmp_path / "p.json")
+        assert ActivationProfile.load(tmp_path / "p.json") == profile
+
+    @pytest.mark.parametrize("bounds", [SparsityBounds(np.float32(0.5), np.float32(0.8)),
+                                        SparsityBounds(Fraction(1, 2), 0.8)], ids=["float32", "fraction"])
+    def test_plan_bounds_save_as_python_floats(self, tmp_path, bounds):
+        fine, base = _profile([4.0, 1.0, 2.5, 2.0]), _profile([1.0, 1.0, 1.0, 1.0], "base")
+        plan = build_plan_lewis(fine, base, bounds, "minmax")
+        assert plan.digest() == build_plan_lewis(fine, base, SparsityBounds(0.5, 0.8), "minmax").digest()
+        plan.save(tmp_path / "plan.json")
+        assert SparsityPlan.load(tmp_path / "plan.json") == plan
+
+    def test_int_reals_save_as_floats(self, tmp_path):
+        plan = SparsityPlan("m", "uniform", default_density=1, bounds=[1, 1])
+        plan.save(tmp_path / "plan.json")
+        doc = json.loads((tmp_path / "plan.json").read_text())
+        assert doc["bounds"] == [1.0, 1.0] and type(doc["bounds"][0]) is float
+        assert type(doc["default_density"]) is float
 
     def test_digests_match_pinned_values(self):
         """Digests reach merged metadata and plan provenance, so they must not drift.

@@ -294,6 +294,20 @@ class TestMerge:
         assert "merge.bounds" in meta
         assert any(key.startswith("merge.plan_digest.") for key in meta)
 
+    def test_numpy_float_bounds_merge_as_python_floats(self, tmp_path):
+        """A plan built from float32 bounds writes the same merged file as one built from the Python floats."""
+        arch = lewis.ArchConfig(vocab_size=16, hidden_dim=8, num_blocks=4, num_heads=2, mlp_dim=16, max_seq_len=8)
+        _, _, base_path, fine_path = _write_pair(tmp_path, arch)
+        fine = lewis.ActivationProfile("fine", {0: 1.3, 1: 1.0, 2: 1.9, 3: 1.1}, 1)
+        base = lewis.ActivationProfile("base", {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, 1)
+        recipe = MergeRecipe(base_path=str(base_path), model_paths=[str(fine_path)], method="ties")
+        files = []
+        for gamma, epsilon in ((np.float32(0.5), np.float32(0.8)), (0.5, 0.8)):
+            plan = lewis.build_plan_lewis(fine, base, lewis.SparsityBounds(gamma, epsilon), "minmax")
+            files.append(tmp_path / f"{type(gamma).__name__}.safetensors")
+            write_checkpoint(merge(recipe, [plan]), files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     def test_plan_count_mismatch(self, tmp_path, small_arch):
         _, _, base_path, fine_path = _write_pair(tmp_path, small_arch)
         recipe = MergeRecipe(base_path=str(base_path), model_paths=[str(fine_path)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import threading
 import time
 
@@ -196,8 +197,8 @@ class TestForwardCapture:
         with pytest.raises(ArchError, match=r"^token sequence must be a list of token ids, got (int|ndarray)$"):
             forward_capture(zero_checkpoint(small_arch), small_arch, tokens)
 
-    @pytest.mark.parametrize("tokens", [[1.5, 2], [True, 2], ["1", 2], [np.float64(1.0), 2]],
-                             ids=["float", "bool", "str", "numpy-float"])
+    @pytest.mark.parametrize("tokens", [[1.5, 2], [True, 2], ["1", 2], [np.float64(1.0), 2], [np.float32(1.0), 2]],
+                             ids=["float", "bool", "str", "numpy-float", "numpy-float32"])
     def test_non_integer_id_is_arch_error(self, small_arch, tokens):
         with pytest.raises(ArchError, match=r"^token sequence: token ids must lie in \[0, 256\)$"):
             forward_capture(zero_checkpoint(small_arch), small_arch, tokens)
@@ -704,6 +705,22 @@ class TestCalibrationFiles:
         loaded = CalibrationSet.from_file(tmp_path / "c.jsonl")
         assert loaded.samples == calib.samples
 
+    def test_numpy_ints_are_ints(self, tmp_path):
+        """A numpy int bound truncates, and numpy int ids save as the plain ints from_file reads."""
+        assert tokenize("abcdef", max_seq_len=np.int64(3)) == [97, 98, 99]
+        CalibrationSet(samples=[[np.int64(3), 4], [np.uint8(5)]]).save(tmp_path / "c.jsonl")
+        assert (tmp_path / "c.jsonl").read_text() == '{"tokens": [3, 4]}\n{"tokens": [5]}\n'
+        assert CalibrationSet.from_file(tmp_path / "c.jsonl", max_seq_len=np.int64(1)).samples == [[3], [5]]
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", np.float32(1.0)], ids=["float", "bool", "str", "numpy-float32"])
+    def test_save_refuses_an_id_from_file_would_refuse(self, tmp_path, bad):
+        """Ids are checked against a vocab only when one is known, but save writes only ints."""
+        calib = CalibrationSet(samples=[[1, 2], [bad, 2]], source="unit")
+        message = f"^unit: sample 2: token ids must be ints, got {re.escape(repr(bad))}$"
+        with pytest.raises(CalibrationError, match=message):
+            calib.save(tmp_path / "c.jsonl")
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_bad_record(self, tmp_path):
         path = tmp_path / "calib.jsonl"
         path.write_text('{"prompt": "nope"}\n')
@@ -738,6 +755,18 @@ class TestArchConfig:
             ArchConfig(hidden_dim=10, num_heads=3)
         with pytest.raises(ArchError):
             ArchConfig(num_blocks=0)
+
+    def test_numpy_int_sizes_are_kept_as_ints(self, tmp_path):
+        arch = ArchConfig(hidden_dim=np.int64(32), num_heads=np.uint8(4))
+        assert arch == ArchConfig(hidden_dim=32, num_heads=4)
+        assert type(arch.hidden_dim) is int and type(arch.num_heads) is int
+        arch.save(tmp_path / "arch.json")
+        assert ArchConfig.load(tmp_path / "arch.json") == arch
+
+    @pytest.mark.parametrize("size", [32.0, np.float32(32), True], ids=["float", "numpy-float", "bool"])
+    def test_size_must_be_an_int(self, size):
+        with pytest.raises(ArchError, match=f"^hidden_dim must be an int, got {re.escape(repr(size))}$"):
+            ArchConfig(hidden_dim=size)
 
     def test_file_round_trip(self, tmp_path):
         arch = ArchConfig(hidden_dim=16, num_heads=4, num_blocks=3)

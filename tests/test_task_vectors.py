@@ -1,5 +1,8 @@
 """Task-vector extraction, merged assembly, and recipe validation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -167,6 +170,24 @@ class TestMergeRecipe:
     def test_rejects_non_str_base_path(self, base_path):
         with pytest.raises(RecipeError, match="base_path"):
             MergeRecipe(base_path=base_path, model_paths=["m"])
+
+    def test_paths_may_be_path_like(self, tmp_path):
+        recipe = MergeRecipe(Path("b"), [Path("m1"), "m2"], plan_refs=[Path("p1"), Path("p2")])
+        assert (recipe.base_path, recipe.model_paths, recipe.plan_refs) == ("b", ["m1", "m2"], ["p1", "p2"])
+        recipe.save(tmp_path / "recipe.json")
+        assert MergeRecipe.load(tmp_path / "recipe.json").model_paths == [str(tmp_path / "m1"), str(tmp_path / "m2")]
+
+    @pytest.mark.parametrize("refs", [np.float32(0.5), np.float16(0.5), 0.5, 1, np.int64(1)],
+                             ids=["float32", "float16", "float", "int", "numpy-int"])
+    def test_uniform_density_is_kept_as_a_float(self, tmp_path, refs):
+        recipe = MergeRecipe("b", ["m"], alphas=[np.float32(0.3)], plan_refs=refs, seed=np.uint64(2**64 - 1))
+        assert type(recipe.plan_refs) is float and recipe.plan_refs == refs
+        assert recipe.alphas == [0.3] and type(recipe.seed) is int
+        recipe.save(tmp_path / "recipe.json")
+        doc = json.loads((tmp_path / "recipe.json").read_text())
+        assert type(doc["plan_refs"]) is float and doc["alphas"] == [0.3] and doc["seed"] == 2**64 - 1
+        loaded = MergeRecipe.load(tmp_path / "recipe.json")
+        assert (loaded.alphas, loaded.plan_refs, loaded.seed) == (recipe.alphas, recipe.plan_refs, recipe.seed)
 
     def test_file_round_trip_resolves_relative_paths(self, tmp_path):
         recipe = MergeRecipe(
