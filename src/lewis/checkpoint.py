@@ -55,6 +55,7 @@ from .errors import (
     HeaderLengthError,
     HeaderParseError,
     InvalidTensorError,
+    MergeError,
     NonFiniteTensorError,
     UnknownDtypeError,
 )
@@ -104,17 +105,25 @@ def _widen(words: np.ndarray) -> np.ndarray:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's pairs as a dict; json.loads alone keeps the last of two equal keys.
-
-    The one duplicate-key rule of every JSON the toolkit reads: checkpoint
-    headers, documents and calibration records.
-    """
+    """A JSON object's pairs as a dict; json.loads alone keeps the last of two equal keys."""
     seen: set[str] = set()
     for key, _ in pairs:
         if key in seen:
-            raise ValueError(f"key {key!r} appears twice in one object")
+            raise MergeError(f"key {key!r} appears twice in one object")
         seen.add(key)
     return dict(pairs)
+
+
+def _json_object(raw: bytes, where: str, error: type[MergeError]) -> dict:
+    """The one JSON reader, for checkpoint headers, documents and calibration records: `raw` as
+    UTF-8 JSON text holding one object, no key twice in any object; else raise `error` prefixed with `where`."""
+    try:
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a key twice, a huge int, deep nesting
+        raise error(f"{where}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{where}: must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _is_int(value: object) -> bool:
@@ -275,18 +284,25 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def _write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write `chunks` to a temp file beside `path`, then rename it onto `path`.
 
-    On any failure the temp file is removed and an existing file at `path`
-    is left as it was.
+    A path that names no file ("", ".", "..", a root) raises MergeError and
+    creates nothing. On any failure the temp file is removed and an existing
+    file at `path` is left as it was; an OSError that names a file names `path`,
+    not the temp file.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    dest = Path(path)
+    if dest.name in ("", ".."):
+        raise MergeError(f"{os.fspath(path)!r} names no file to write")
+    tmp = dest.with_name(f".{dest.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, dest)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # it names the temp file
+            exc.filename = os.fspath(path)
+            del exc.filename2
         raise
 
 
@@ -313,12 +329,7 @@ class CheckpointFile:
                     f"{path}: header length {header_len} exceeds file size {size}"
                 )
             raw = fh.read(header_len)
-        try:
-            header = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a key twice, a huge int, deep nesting
-            raise HeaderParseError(f"{path}: header is not valid structured text: {exc}") from exc
-        if not isinstance(header, dict):
-            raise HeaderParseError(f"{path}: header must be an object, got {type(header).__name__}")
+        header = _json_object(raw, f"{path}: header", HeaderParseError)
 
         metadata = header.pop("__metadata__", None)
         if metadata is not None and not _is_str_map(metadata):

@@ -4,8 +4,8 @@ Five subcommands cover the flow end to end: `capture` measures activation
 profiles, `plan` turns them into sparsity plans, `merge` produces a merged
 checkpoint, `inspect` and `eval` report on existing checkpoints. Human-
 readable tables go to stdout; machine-readable artifacts are only ever
-written to --out paths. Exit codes: 0 success, 1 operational error, 2
-usage error.
+written to --out paths. Exit codes: 0 success, 1 operational error (a
+MergeError or an OSError naming its file), 2 usage error.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MergeError, OSError, ValueError) as exc:
+    except (MergeError, OSError) as exc:  # any other error is a bug, and shows its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,11 +5,11 @@ recipe are dataclasses that inherit `Document`, naming their error class:
 `class SparsityPlan(Document, error=PlanError)`. A document's fields are
 its JSON keys. `save` writes canonical JSON (sorted keys, no whitespace)
 atomically and `digest` is the sha256 of those same bytes, so a digest
-names a file's content exactly. `load` rejects a file that is not a JSON
-object, that gives one key twice in an object, or that holds an unknown
-key or lacks a required one, by name; the class's `__post_init__` then
-checks the values. Every failure is the class's error, prefixed with the
-file's path.
+names a file's content exactly. `load` reads the file with the one JSON
+reader (`checkpoint._json_object`: UTF-8, one object, no key twice), then
+rejects an unknown key or a missing required one, by name; the class's
+`__post_init__` then checks the values. Every failure is a MergeError
+prefixed with the file's path; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import ClassVar
 
-from .checkpoint import _unique_keys, _write_atomic
+from .checkpoint import _json_object, _write_atomic
 from .errors import MergeError
 
 
@@ -58,12 +58,7 @@ class Document:
 
     @classmethod
     def load(cls, path: str | Path):
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
-            raise cls._error(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise cls._error(f"{path}: must be a JSON object, got {type(doc).__name__}")
+        doc = _json_object(Path(path).read_bytes(), str(path), cls._error)
         params = inspect.signature(cls).parameters  # the fields plus any InitVar, read but not saved
         known = list(params)
         unknown = sorted(doc.keys() - set(known))
@@ -76,5 +71,3 @@ class Document:
             return cls(**doc)
         except MergeError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise cls._error(f"{path}: {exc}") from exc

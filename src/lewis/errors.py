@@ -1,16 +1,18 @@
 """Exception hierarchy for the merge toolkit.
 
-Every failure the library raises on purpose derives from MergeError so
-callers (and the CLI) can catch one type. Checkpoint-file problems get
-their own subtree with one class per failure mode; messages always name
-the offending tensor where one exists. Each JSON document type has its own
-class (ArchError, ProfileMismatchError, PlanError, RecipeError): loading a
-malformed document raises it, prefixed with the file's path (see
-documents.py).
+Every failure the library raises on purpose is a MergeError, and a
+MergeError is a ValueError, so callers (and the CLI) catch one type; any
+other exception from the library, an OSError aside, is a bug. Checkpoint-file
+problems get their own subtree with one class per failure mode; messages
+always name the offending tensor where one exists. Each JSON document type
+has its own class (ArchError, ProfileMismatchError, PlanError, RecipeError):
+loading a malformed document raises it, prefixed with the file's path (see
+documents.py). Every JSON input is read by `checkpoint._json_object`, which
+raises its caller's class: `not valid JSON: …` or `must be a JSON object, got …`.
 """
 
 
-class MergeError(Exception):
+class MergeError(ValueError):
     """Base class for all toolkit errors."""
 
 
@@ -66,9 +68,5 @@ class ArchError(MergeError):
     """An arch file is malformed, or a checkpoint does not match the architecture it is run as."""
 
 
-class CalibrationError(MergeError, ValueError):
-    """A calibration set or file is empty, or holds a malformed record or a too-short sample.
-
-    Also a ValueError, so callers that catch ValueError from
-    `CalibrationSet` keep working.
-    """
+class CalibrationError(MergeError):
+    """A calibration set or file is empty, or holds a malformed record or a too-short sample."""

@@ -38,7 +38,7 @@ import numpy as np
 
 from .checkpoint import _is_int, _is_str_map
 from .documents import Document
-from .errors import PlanError, ProfileMismatchError
+from .errors import MergeError, PlanError, ProfileMismatchError
 from .roles import BLOCK_KINDS, TensorRole
 
 PLAN_MODES = ("lewis-literal", "lewis-minmax", "uniform", "topk", "layer-type")
@@ -67,7 +67,7 @@ def _is_finite_real(value: object) -> bool:
     return not math.isnan(_float(value))
 
 
-def _check_density(value: float, what: str = "density", error: type[Exception] = ValueError) -> float:
+def _check_density(value: float, what: str = "density", error: type[MergeError] = MergeError) -> float:
     """`value` as a float if it is a keep-density in (0, 1], else raise `error` naming `what`."""
     if not _is_real(value):
         raise error(f"{what} must be a number, got {value!r}")
@@ -83,7 +83,7 @@ def _check_convention(convention: object) -> None:
         raise ProfileMismatchError(f"unknown norm_convention {convention!r}; known: {list(NORM_CONVENTIONS)}")
 
 
-def _by_block(mapping: Mapping, what: str, error: type[Exception]) -> dict:
+def _by_block(mapping: Mapping, what: str, error: type[MergeError]) -> dict:
     """`mapping` with int keys, the exact inverse of `documents._json_value`'s str(k): a key must be an int or the
     text str() gives for one ("01", "+1", True and 1.0 are not), one key per block; else raise `error` naming `what`."""
     try:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from pathlib import Path
 from typing import Sequence
 
@@ -54,9 +53,9 @@ import numpy as np
 
 from .buffers import BufferPool, empty, select
 from .checkpoint import Checkpoint, CheckpointFile, exact_checkpoint
-from .errors import PlanError, RecipeError
-from .importance import SparsityPlan, build_plan_uniform
-from .parallel import map_in_order
+from .errors import MergeError, PlanError, RecipeError
+from .importance import SparsityPlan, _float, build_plan_uniform
+from .parallel import map_in_order, usable_cores
 from .pruning import apply_plan, mix_seed
 from .roles import detect_naming_scheme, role_classifier
 from .task_vectors import (
@@ -79,10 +78,10 @@ def ties_combine(deltas: Sequence[np.ndarray]) -> np.ndarray:
     so combine memory does not grow with the number of models. The counts
     are of the smallest unsigned type that holds the model count (uint8 up
     to 255 models, uint16 from 256 on, and so forth), so they never overflow. Raises
-    ValueError on an empty sequence.
+    MergeError on an empty sequence.
     """
     if len(deltas) == 0:
-        raise ValueError("ties_combine needs at least one delta")
+        raise MergeError("ties_combine needs at least one delta")
     first, shape = deltas[0], np.shape(deltas[0])
     sums, counts = np.result_type(first, 0.0), np.min_scalar_type(len(deltas))
     pos, neg, part = empty(shape, sums), empty(shape, sums), empty(shape, sums)
@@ -152,6 +151,7 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
             raise PlanError(f"plan for {model_id!r} sets blocks {foreign} that no tensor of the base belongs to")
     g_mode = "magnitude" if recipe.method in ("task-arithmetic", "ties") else "random"
     seeds = [mix_seed(recipe.seed, f"model-{p}") for p in range(len(models))]
+    alphas = [_float(a) for a in recipe.alphas]  # the recipe's rule, for alphas set after it checked them too
 
     metadata = {
         "merge.method": recipe.method,
@@ -160,7 +160,7 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
             [None if p.bounds is None else [p.bounds.gamma, p.bounds.epsilon] for p in plans]
         ),
         "merge.models": ",".join(model_ids),
-        "merge.alphas": json.dumps(list(recipe.alphas)),
+        "merge.alphas": json.dumps(alphas),
     }
     for model_id, plan in zip(model_ids, plans):
         metadata[f"merge.plan_digest.{model_id}"] = plan.digest()
@@ -192,16 +192,13 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
                 for model, model_id, plan, seed in zip(models, model_ids, plans, seeds)
             ]
             if not elect:
-                merged = linear_combine(base_t[name], deltas, recipe.alphas)
+                merged = linear_combine(base_t[name], deltas, alphas)
             else:
-                for d, a in zip(deltas, recipe.alphas):
-                    d *= float(a)  # each delta is a fresh array from apply_plan
+                for d, a in zip(deltas, alphas):
+                    d *= a  # each delta is a fresh array from apply_plan
                 merged = ties_combine(deltas)
                 merged += base_t[name]
             out[name][...] = finalize_checkpoint({name: merged}, base, None)[name]
 
-    map_in_order(
-        combine, names, len(os.sched_getaffinity(0)),
-        cost=sizes.__getitem__, budget=budget,
-    )
+    map_in_order(combine, names, usable_cores(), cost=sizes.__getitem__, budget=budget)
     return exact_checkpoint(out, base.dtypes, metadata)

@@ -13,16 +13,25 @@ in flight, and no thread skips ahead of the waiting item.
 After an item raises, no thread starts another; items already started
 finish. Then the error of the failing item that comes first in item order
 is raised, which is the error a serial loop raises.
+
+`usable_cores()` counts the cores the process may run on, on any OS.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections.abc import Callable, Sequence
 from typing import TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS keeps one (Linux), else every core."""
+    affinity = getattr(os, "sched_getaffinity", None)  # looked up per call, so a patched one is seen
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
 def map_in_order(

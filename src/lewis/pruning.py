@@ -21,6 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .buffers import copied, empty, select
+from .checkpoint import _is_int
+from .errors import MergeError
 from .importance import SparsityPlan, _check_density
 from .roles import TensorRole
 from .task_vectors import TaskVector
@@ -34,16 +36,23 @@ def name_hash64(name: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _seed64(seed: int) -> int:
+    """The low 64 bits of `seed`, an int by the one int rule (`checkpoint._is_int`); else MergeError."""
+    if not _is_int(seed):
+        raise MergeError(f"seed must be an int, got {seed!r}")
+    return int(seed) & _MASK64
+
+
 def mix_seed(seed: int, label: str) -> int:
     """Derive a sub-seed from (seed, label); used for per-model streams."""
     h = hashlib.blake2b(digest_size=8)
-    h.update((int(seed) & _MASK64).to_bytes(8, "little"))
+    h.update(_seed64(seed).to_bytes(8, "little"))
     h.update(label.encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
 
 
 def _stream(seed: int, name: str) -> np.random.Generator:
-    key = ((int(seed) & _MASK64) << 64) | name_hash64(name)
+    key = (_seed64(seed) << 64) | name_hash64(name)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -89,19 +98,21 @@ def random_drop_rescale(
     """Independently keep entries with probability `density`, rescale by 1/density.
 
     Deterministic for fixed (values, density, seed, name); density 1.0 is
-    the exact identity. A density whose rescale 1/density is not finite in
-    the result's dtype (1e-9 in float16 rounds to 0) raises ValueError, and
-    so does a finite kept entry that overflows that dtype when rescaled.
+    the exact identity. A seed that is not an int, a density whose rescale
+    1/density is not finite in the result's dtype (1e-9 in float16 rounds
+    to 0, 1e-320 in float64 overflows), or a finite kept entry that
+    overflows that dtype when rescaled raises MergeError naming the tensor.
     """
     density = _check_density(density)
+    stream = _stream(seed, name)
     arr = np.asarray(values)
     if density == 1.0:
         return copied(arr)
     dtype = np.result_type(arr, density)
     with np.errstate(divide="ignore", over="ignore"):
         if not np.isfinite(np.divide(1.0, density, dtype=dtype)):
-            raise ValueError(f"density {density} has no finite rescale 1/density in {dtype}")
-    uniforms = _stream(seed, name).random(out=empty((arr.size,)))
+            raise MergeError(f"tensor {name!r}: density {density} has no finite rescale 1/density in {dtype}")
+    uniforms = stream.random(out=empty((arr.size,)))
     keep = np.less(uniforms.reshape(arr.shape), density, out=empty(arr.shape, np.bool_))
     # Zero the dropped entries first, so only a kept entry can overflow.
     out = copied(arr, dtype)
@@ -110,7 +121,7 @@ def random_drop_rescale(
         with np.errstate(over="raise"):
             return np.divide(out, density, out=out)
     except FloatingPointError:
-        raise ValueError(
+        raise MergeError(
             f"tensor {name!r}: a kept entry overflows {dtype} when rescaled by 1/density {density}"
         ) from None
 
@@ -129,7 +140,7 @@ def apply_plan(
     win when the plan carries them); everything else uses the default.
     """
     if mode not in ("magnitude", "random"):
-        raise ValueError(f"mode must be 'magnitude' or 'random', got {mode!r}")
+        raise MergeError(f"mode must be 'magnitude' or 'random', got {mode!r}")
     pruned: dict[str, np.ndarray] = {}
     for name, delta in tv.deltas.items():
         density = plan.density_for(roles(name), name)

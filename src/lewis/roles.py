@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .errors import MergeError
+
 ROLE_KINDS = ("Q", "K", "V", "O", "MLP", "Embedding", "Norm", "Head", "Other")
 
 # Roles that only occur inside a transformer block.
@@ -27,9 +29,9 @@ class TensorRole:
 
     def __post_init__(self):
         if self.kind not in ROLE_KINDS:
-            raise ValueError(f"unknown role kind {self.kind!r}")
+            raise MergeError(f"unknown role kind {self.kind!r}")
         if self.kind in BLOCK_KINDS and self.block_index is None:
-            raise ValueError(f"kind {self.kind} requires a block index")
+            raise MergeError(f"kind {self.kind} requires a block index")
 
 
 # Per scheme: the block-name prefix (followed by the block index and a dot),
@@ -68,7 +70,7 @@ _SCHEMES: dict[str, tuple[str, tuple[tuple[str, str], ...], tuple[tuple[str, str
 def role_classifier(naming_scheme: str) -> Callable[[str], TensorRole]:
     """A name -> TensorRole callable bound to one scheme. Total: unknown names are Other."""
     if naming_scheme not in _SCHEMES:
-        raise ValueError(
+        raise MergeError(
             f"unregistered naming scheme {naming_scheme!r}; known: {sorted(_SCHEMES)}"
         )
     block_prefix, inner, top = _SCHEMES[naming_scheme]

@@ -58,11 +58,11 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .checkpoint import Checkpoint, _is_int, _unique_keys, _write_atomic
+from .checkpoint import Checkpoint, _is_int, _json_object, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError, MergeError
 from .importance import ActivationProfile, _check_convention
-from .parallel import map_in_order
+from .parallel import map_in_order, usable_cores
 
 _RMS_EPS = 1e-6
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -197,30 +197,22 @@ class CalibrationSet:
     def from_file(
         cls, path: str | Path, max_seq_len: int | None = None, vocab_size: int | None = None
     ) -> "CalibrationSet":
-        """Line-delimited records, each {"text": str} or {"tokens": [ints]}.
+        """JSONL records, one per `\n`-terminated line, each {"text": str} or {"tokens": [ints]}.
 
-        A malformed record, a token id outside [0, vocab_size) when a vocab
-        size is given, or a file without any record raises CalibrationError
-        naming the path, the 1-based line number and the field; so does a
-        `max_seq_len` that is not None or an int >= 1.
+        A line the one JSON reader refuses (not UTF-8, not JSON, not one
+        object, a key twice), a malformed record, a token id outside
+        [0, vocab_size) when a vocab size is given, or a file without any
+        record raises CalibrationError naming the path, the 1-based line
+        number and the field; so does a `max_seq_len` that is not None or
+        an int >= 1. A raw U+2028 or U+0085 in a string is text, not a line end.
         """
         _check_max_seq_len(max_seq_len)
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise CalibrationError(f"{path}: not UTF-8 text: {exc}") from exc
         samples: list[list[int]] = []
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+            if not line.strip():
                 continue
             where = f"{path}: line {lineno}"
-            try:
-                record = json.loads(line, object_pairs_hook=_unique_keys)
-            except (ValueError, RecursionError) as exc:  # bad JSON, a key twice, a huge int, deep nesting
-                raise CalibrationError(f"{where}: not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CalibrationError(f"{where}: record must be an object, got {type(record).__name__}")
+            record = _json_object(line, where, CalibrationError)  # JSON takes the trailing \r as whitespace
             if "tokens" in record:
                 tokens = record["tokens"]
                 if not isinstance(tokens, list) or not tokens or not all(map(_is_int, tokens)):
@@ -394,7 +386,7 @@ def _forward_workers(num_samples: int) -> int:
             pass
     if blas < 1:
         return 1
-    return max(1, min(num_samples, len(os.sched_getaffinity(0)) // blas))
+    return max(1, min(num_samples, usable_cores() // blas))
 
 
 def _sample_sum(fn: Callable[[list[int]], object], arch: ArchConfig, calib: CalibrationSet, min_tokens: int = 1):

@@ -99,7 +99,7 @@ def linear_combine(
     """One tensor of a linear merge: base + sum_p alpha_p * delta_p, summed in model order."""
     acc, scaled = copied(base), empty(base.shape)
     for delta, alpha in zip(deltas, alphas):
-        acc += np.multiply(delta, float(alpha), out=scaled)
+        acc += np.multiply(delta, _float(alpha), out=scaled)
     return acc
 
 

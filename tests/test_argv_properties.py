@@ -3,10 +3,11 @@
 Each argv is a subcommand (or a bogus one) and some of its flags, usually
 with every required flag present, plus bogus flags. A flag's value is a
 fixture file of the kind it reads, or any of: another fixture file, a
-missing path, a directory, "", ".", "nan", "inf", "-1", "0", "1e400", a huge
-int, or one of any flag's choices. `--out` always gets a fresh path under a
-temp dir. Whatever the argv, `main` returns 0, 1 or 2, or argparse exits
-with code 0 or 2; no other exception escapes.
+missing path, a directory, "", ".", "nan", "inf", "-1", "0", "1e400", a
+subnormal such as "1e-320", a huge int, or one of any flag's choices.
+`--out` mostly gets a fresh path under a temp dir, else "", "." or a path
+under a missing directory. Whatever the argv, `main` returns 0, 1 or 2, or
+argparse exits with code 0 or 2; no other exception escapes.
 """
 
 import argparse
@@ -36,7 +37,7 @@ FIXTURES = {
     "--plan": ["plan.json"],
     "--recipe": ["recipe.json"],
 }
-ODD = ["", ".", "nan", "inf", "-inf", "-1", "0", "0.5", "1", "1e400", "-1e400",
+ODD = ["", ".", "nan", "inf", "-inf", "-1", "0", "0.5", "1", "1e400", "-1e400", "1e-320", "5e-324",
        str(2**63), str(10**400), "9" * 5000, "x"]
 BOGUS_FLAGS = ["--bogus", "-x", "--models", "--out=", "-h", "--version"]
 
@@ -92,8 +93,9 @@ def argvs(draw, ws, fresh):
     for action in chosen:
         flag = action.option_strings[-1]
         argv.append(flag)
-        if flag == "--out":
-            argv.append(str(next(fresh)))
+        if flag == "--out":  # mostly fresh; the others name no file that can be written
+            odd = ["", ".", str(ws / "missing" / "m.safetensors")]
+            argv.append(draw(st.sampled_from(odd)) if draw(st.integers(0, 3)) == 0 else str(next(fresh)))
             continue
         own = [str(ws / name) for name in FIXTURES.get(flag, [])] + [str(c) for c in action.choices or ()]
         argv.append(draw(st.sampled_from(own) | anything if own else anything))

@@ -25,6 +25,7 @@ from lewis.errors import (
     HeaderLengthError,
     HeaderParseError,
     InvalidTensorError,
+    MergeError,
     UnknownDtypeError,
 )
 import lewis.checkpoint
@@ -237,6 +238,34 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+    WRITERS = {
+        "checkpoint": lambda path: write_checkpoint(Checkpoint({"w": np.arange(4.0)}), path),
+        "document": lambda path: lewis.build_plan_uniform(0.5).save(path),
+        "calibration": lambda path: lewis.CalibrationSet([[1, 2]]).save(path),
+    }
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    @pytest.mark.parametrize("path", ["", ".", "..", "/"], ids=["empty", "dot", "dotdot", "root"])
+    def test_path_that_names_no_file_is_named_error(self, tmp_path, monkeypatch, writer, path):
+        """pathlib's own error for "" was a ValueError naming PosixPath('.'), not the path given."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(MergeError, match=f"^{re.escape(repr(path))} names no file to write$"):
+            self.WRITERS[writer](path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_os_error_names_the_destination_not_the_temp_file(self, tmp_path, monkeypatch, writer):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as info:
+            self.WRITERS[writer]("nodir/m.out")
+        assert str(info.value) == "[Errno 2] No such file or directory: 'nodir/m.out'"
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError) as info:  # the rename onto a directory fails
+            self.WRITERS[writer](tmp_path / "d")
+        assert str(info.value) == f"[Errno 21] Is a directory: '{tmp_path / 'd'}'"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+
 class TestFormatErrors:
     def _valid_file(self, tmp_path):
         path = tmp_path / "v.safetensors"
@@ -280,7 +309,7 @@ class TestFormatErrors:
         path.write_bytes(struct.pack("<Q", len(body)) + body.encode()
                          + np.array([1, 2, 3, 4], "<f4").tobytes())
         with pytest.raises(HeaderParseError, match=(
-            f"^{re.escape(str(path))}: header is not valid structured text: key '{key}' appears twice in one object$"
+            f"^{re.escape(str(path))}: header: not valid JSON: key '{key}' appears twice in one object$"
         )):
             read_checkpoint(path)
 
@@ -292,12 +321,12 @@ class TestFormatErrors:
         """Both used to escape as a raw ValueError or RecursionError."""
         path = tmp_path / "h.safetensors"
         path.write_bytes(struct.pack("<Q", len(body)) + body.encode() + b"\0" * 8)
-        with pytest.raises(HeaderParseError, match=f"^{re.escape(str(path))}: header is not valid structured text: "):
+        with pytest.raises(HeaderParseError, match=f"^{re.escape(str(path))}: header: not valid JSON: "):
             read_checkpoint(path)
 
     def test_header_must_be_an_object(self, tmp_path):
         path = self._raw_file(tmp_path, [{"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}], b"\0" * 8)
-        with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: header must be an object, got list"):
+        with pytest.raises(HeaderParseError, match=f"{re.escape(str(path))}: header: must be a JSON object, got list"):
             read_checkpoint(path)
 
     @pytest.mark.parametrize("entry", [

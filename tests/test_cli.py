@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -487,6 +488,36 @@ class TestMerge:
         assert "not allowed with" in capsys.readouterr().err
         assert not (workspace / "m.safetensors").exists()
 
+    @pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
+    def test_out_that_names_no_file_is_named_error(self, workspace, capsys, monkeypatch, out):
+        """pathlib's ValueError for these used to print `PosixPath('.') has an empty name`."""
+        monkeypatch.chdir(workspace)
+        before = sorted(p.name for p in workspace.iterdir())
+        assert run(["merge", "--base", "base.safetensors", "--model", "fine.safetensors", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {out!r} names no file to write\n"
+        assert sorted(p.name for p in workspace.iterdir()) == before
+
+    def test_out_under_missing_directory_names_the_out_path(self, workspace, capsys, monkeypatch):
+        """The error used to name the temp file beside it, `nodir/.m.safetensors.<hex>.tmp`."""
+        monkeypatch.chdir(workspace)
+        before = sorted(p.name for p in workspace.iterdir())
+        code = run(["merge", "--base", "base.safetensors", "--model", "fine.safetensors", "--out", "nodir/m.safetensors"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir/m.safetensors'\n"
+        assert sorted(p.name for p in workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("density", ["1e-320", "5e-324"])
+    def test_dare_density_without_finite_rescale_is_named_error(self, workspace, capsys, density):
+        code = run([
+            "merge", "--base", workspace / "base.safetensors", "--model", workspace / "fine.safetensors",
+            "--method", "dare-linear", "--density", density, "--out", workspace / "m.safetensors",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: tensor 'blocks.0.attn.wk.weight': density {density} has no finite rescale 1/density in float64\n"
+        )
+        assert not (workspace / "m.safetensors").exists()
+
     def test_out_may_be_the_base(self, workspace):
         args = [
             "merge", "--base", workspace / "base.safetensors",
@@ -498,6 +529,20 @@ class TestMerge:
         assert (workspace / "base.safetensors").read_bytes() == (
             workspace / "fresh.safetensors"
         ).read_bytes()
+
+
+def test_runs_without_cpu_affinity(workspace, monkeypatch, capsys):
+    """macOS and Windows have no os.sched_getaffinity; merge and a capture whose BLAS
+    runs one thread count usable cores, and used to end in an AttributeError."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert run(["merge", "--base", workspace / "base.safetensors", "--model", workspace / "fine.safetensors",
+                "--method", "dare-ties", "--density", "0.5", "--out", workspace / "m.safetensors"]) == 0
+    assert run(["capture", "--model", workspace / "m.safetensors", "--arch", workspace / "arch.json",
+                "--calib", workspace / "calib.jsonl", "--out", workspace / "m.profile.json"]) == 0
+    assert run(["eval", "--ckpt", workspace / "m.safetensors", "--arch", workspace / "arch.json",
+                "--calib", workspace / "calib.jsonl"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _capture_args(ws, doc):
@@ -638,10 +683,10 @@ class TestMalformedDocuments:
             (b'{"tokens": [1, 2]}\n{"tokens": [300]}\n', "line 2: token ids must lie in [0, 256)"),
             (b'\n{"text": 7}\n', "line 2: field 'text'"),
             (b'{"text": "ok"}\nnot json\n', "line 2: not valid JSON"),
-            (b'[1, 2, 3]\n', "line 1: record must be an object"),
+            (b'[1, 2, 3]\n', "line 1: must be a JSON object"),
             (b'{"prompt": "nope"}\n', "line 1: record has neither 'text' nor 'tokens'"),
             (b'\n\n', "no calibration records"),
-            (b'{"text": "\xff\xfe"}\n', "not UTF-8 text"),
+            (b'{"text": "\xff\xfe"}\n', "line 1: not valid JSON"),
             (b'{"text": "ok"}\n' + b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 2: not valid JSON"),
         ],
         ids=["tokens-int", "tokens-bool", "tokens-float", "tokens-oov", "text-int", "not-json", "not-object",

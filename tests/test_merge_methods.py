@@ -26,7 +26,7 @@ from lewis import (
     ties_combine,
     write_checkpoint,
 )
-from lewis.errors import NonFiniteTensorError, RecipeError
+from lewis.errors import MergeError, NonFiniteTensorError, RecipeError
 from lewis.pruning import mix_seed
 from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
 from conftest import header_keys, mismatched_model, pin_machine, relayout, reverse_data_region
@@ -307,6 +307,24 @@ class TestMerge:
             files.append(tmp_path / f"{type(gamma).__name__}.safetensors")
             write_checkpoint(merge(recipe, [plan]), files[-1])
         assert files[0].read_bytes() == files[1].read_bytes()
+
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_numpy_float_alphas_merge_as_the_recipe_reads_them(self, tmp_path, small_arch, method):
+        """Alphas set after the recipe checked them still scale by its rule, in the linear and the TIES branch."""
+        _, _, base_path, fine_path = _write_pair(tmp_path, small_arch)
+        recipe = MergeRecipe(base_path=str(base_path), model_paths=[str(fine_path)], alphas=[0.3], method=method)
+        expected = merge(recipe)
+        recipe.alphas = [np.float32(0.3)]
+        assert merge(recipe) == expected
+
+    @pytest.mark.parametrize("density", [1e-320, 5e-324])
+    def test_dare_density_without_finite_rescale_names_tensor(self, tmp_path, small_arch, density):
+        _, _, base_path, fine_path = _write_pair(tmp_path, small_arch)
+        recipe = MergeRecipe(str(base_path), [str(fine_path)], method="dare-linear", plan_refs=density)
+        first = sorted(lewis.random_checkpoint(small_arch, seed=0).names())[0]
+        message = f"^tensor {re.escape(repr(first))}: density {density} has no finite rescale 1/density in float64$"
+        with pytest.raises(MergeError, match=message):
+            merge(recipe)
 
     def test_plan_count_mismatch(self, tmp_path, small_arch):
         _, _, base_path, fine_path = _write_pair(tmp_path, small_arch)

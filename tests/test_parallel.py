@@ -1,12 +1,13 @@
 """`parallel.map_in_order`: results in item order, the in-flight budget, and failures."""
 
+import os
 import sys
 import threading
 import time
 
 import pytest
 
-from lewis.parallel import map_in_order
+from lewis.parallel import map_in_order, usable_cores
 
 
 def test_results_in_item_order_with_more_workers_than_items():
@@ -81,3 +82,14 @@ def test_error_of_first_failing_item_in_order():
     with pytest.raises(ValueError, match="item 1"):
         map_in_order(work, [0, 1, 2, 3], workers=4)
     assert later_failed.is_set()
+
+
+def test_usable_cores_without_cpu_affinity(monkeypatch):
+    """macOS and Windows have no os.sched_getaffinity: every core counts, and at least one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert usable_cores() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cores() == 1

@@ -1,6 +1,7 @@
 """Magnitude trim, random drop-with-rescale, and plan application."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from lewis import (
     random_drop_rescale,
     role_classifier,
 )
-from lewis.errors import PlanError
-from lewis.pruning import trim_count
+from lewis.errors import MergeError, PlanError
+from lewis.pruning import mix_seed, trim_count
 
 
 def trim_oracle(values: np.ndarray, density: float) -> np.ndarray:
@@ -140,6 +141,27 @@ class TestRandomDropRescale:
         values = np.full(200_000, 10.0, dtype=np.float16)
         with pytest.raises(ValueError, match="'w'.*overflows float16"):
             random_drop_rescale(values, 1e-4, 0, "w")
+
+    @pytest.mark.parametrize("density", [1e-320, 5e-324], ids=["1e-320", "smallest-subnormal"])
+    def test_density_without_finite_rescale_names_tensor(self, density):
+        """1/density overflows float64; the error used to name neither the tensor nor a MergeError."""
+        with pytest.raises(MergeError, match=f"^tensor 'w': density {density} has no finite rescale 1/density in float64$"):
+            random_drop_rescale(np.ones(3), density, 0, "w")
+
+    @pytest.mark.parametrize("seed", ["3", 3.7, 3.0, True, None], ids=["str", "float", "integral-float", "bool", "none"])
+    @pytest.mark.parametrize("density", [0.5, 1.0], ids=["drop", "identity"])
+    def test_seed_must_be_an_int(self, seed, density):
+        """`int(seed)` used to read "3" and 3.7 as seed 3."""
+        with pytest.raises(MergeError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            random_drop_rescale(np.ones(8), density, seed, "w")
+        with pytest.raises(MergeError, match="^seed must be an int"):
+            mix_seed(seed, "model-0")
+
+    def test_numpy_int_seed_is_the_int(self):
+        values = np.ones(64)
+        for seed in (np.int64(3), np.uint8(3)):
+            np.testing.assert_array_equal(random_drop_rescale(values, 0.5, seed, "w"), random_drop_rescale(values, 0.5, 3, "w"))
+            assert mix_seed(seed, "model-0") == mix_seed(3, "model-0")
 
     def test_dropped_overflow_is_discarded(self):
         density = 0.5

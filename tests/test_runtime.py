@@ -699,6 +699,19 @@ class TestCalibrationFiles:
             CalibrationSet.from_file(path)
         assert str(info.value) == f"{path}: line 2: not valid JSON: key 'text' appears twice in one object"
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_raw_unicode_line_break_in_text_is_text(self, tmp_path, char):
+        """str.splitlines() used to split this record inside its string: `Unterminated string`."""
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps({"text": f"a{char}b"}, ensure_ascii=False).encode() + b"\n")
+        assert CalibrationSet.from_file(path).samples == [tokenize(f"a{char}b")]
+
+    def test_record_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"text": "ok"}\n{"text": "\xff\xfe"}\n')
+        with pytest.raises(CalibrationError, match=f"^{re.escape(str(path))}: line 2: not valid JSON: 'utf-8' codec"):
+            CalibrationSet.from_file(path)
+
     def test_save_round_trip(self, tmp_path):
         calib = CalibrationSet(samples=[[1, 2], [3]], source="unit")
         calib.save(tmp_path / "c.jsonl")
@@ -747,6 +760,26 @@ class TestCalibrationFiles:
     def test_empty_set_or_sample_is_calibration_error(self, samples, message):
         with pytest.raises(CalibrationError, match=f"^{message}$"):
             CalibrationSet(samples=samples, source="unit")
+
+
+# Characters that str.splitlines() breaks on; JSON escapes those below U+0020, not the rest.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.text(st.sampled_from(LINE_BREAKS) | st.characters(exclude_categories=("Cs",)), min_size=1),
+                   min_size=1, max_size=5),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    last_ending=st.booleans(),
+)
+def test_text_records_load_back_whatever_they_hold(tmp_path_factory, texts, ending, last_ending):
+    """Records are split on \\n alone (a trailing \\r dropped), as JSONL says, so a raw U+2028, U+2029 or U+0085
+    inside a string, which json.dumps(ensure_ascii=False) writes as it is, stays text."""
+    path = tmp_path_factory.mktemp("calib") / "c.jsonl"
+    lines = [json.dumps({"text": text}, ensure_ascii=False) for text in texts]
+    path.write_bytes((ending.join(lines) + (ending if last_ending else "")).encode())
+    assert CalibrationSet.from_file(path).samples == [tokenize(text) for text in texts]
 
 
 class TestArchConfig:

@@ -14,6 +14,7 @@ from lewis import (
     compute_task_vector,
 )
 from lewis.errors import KeysetMismatchError, RecipeError, ShapeMismatchError
+from lewis.task_vectors import linear_combine
 
 
 class TestComputeTaskVector:
@@ -65,6 +66,10 @@ class TestAssembleMerged:
         tv = compute_task_vector(base, Checkpoint({"w": np.array([1.2])}), "m")
         merged = assemble_merged(base, [tv], [0.5])
         np.testing.assert_allclose(merged["w"], [1.1])
+
+    def test_numpy_float_alpha_is_the_decimal_it_prints(self):
+        """float(np.float32(0.3)) is 0.30000001192092896; the recipe rule reads it as 0.3."""
+        assert linear_combine(np.zeros(1), [np.ones(1)], [np.float32(0.3)])[0] == 0.3
 
     def test_cancellation(self):
         base = Checkpoint({"w": np.array([1.0])})
