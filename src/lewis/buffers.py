@@ -1,106 +1,144 @@
-"""One pool of array buffers that a merge reuses from tensor to tensor.
+"""Scratch blocks: the memory a merge works in, one block per tensor in flight.
 
-Merging one tensor makes about a dozen arrays of that tensor's size: the
-widened reads, the deltas, the trim, drop and election temporaries, the
-snap's words and the finite-check masks. Freed, their memory goes back to
-the operating system, and the next tensor faults it in again. So `merge()`
-owns one BufferPool, shared by its worker threads, and lends it to the
-thread that merges a tensor (`with pool.lend():`). While a pool is lent,
-`empty(shape, dtype)` hands out one of its buffers; with none lent it is
-`np.empty`, so outside a merge every function allocates as it always has.
-`copied`, `all_finite` and `select` are `astype`, `isfinite(...).all()`
-and `where` on arrays that `empty` makes.
+A Block is one byte buffer used as a stack. While a block is lent to a
+thread (`with block.lent():`), `empty(shape, dtype)` on that thread takes
+the next 64-byte-aligned piece of it; with none lent it is `np.empty`, so
+outside a merge every function allocates as it always has. Inside
+`with frame():` the pieces taken are given back when the frame ends, last
+in first out, so a kernel keeps its temporaries in a frame and takes its
+result before opening one. `copied`, `all_finite` and `select` are
+`astype`, `isfinite(...).all()` and `where` on arrays that `empty` makes.
+Nothing counts references: a piece is free once its frame or its lend
+ends, and the code that took it must not use it after that.
 
-A buffer is idle again once no array refers to its memory. Every array the
-pool hands out is a view of one of its buffers, and so is every view of
-that array, so each holds a reference to the buffer, and CPython's
-reference count tells when the last is gone. A tensor's temporaries are
-thus reused within the tensor as soon as they die, and all of them once
-its result is written.
+`merge()` lends each tensor one block. The tensor's long-lived arrays sit
+at the bottom (the base, then one delta per model, each float64), and the
+kernels' temporaries reuse the region above them (`merge_methods` sizes
+it). A take its block has no room for falls back to `np.empty`
+(`_overflow`); `merge()` sizes its blocks so that this never happens.
 
-The pool holds at most `cap` bytes, idle and in use together. To add a
-buffer past the cap it first drops idle ones; if that is not enough, the
-array comes from `np.empty` and the pool does not keep it.
+Blocks come from a BlockPool, a free list that holds at most `cap` bytes,
+idle blocks and blocks in use together. A tensor gets an idle block of its
+exact size, the one its thread gave back last if there is one; else a new
+block, made after idle ones are dropped, oldest first, until it fits under
+the cap; if that is not enough, the block is made anyway and dropped when
+it is given back.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
 
+_ALIGN = 64  # bytes; every piece of a block starts on a cache line
 _lent = threading.local()
 
 
-def _new_buffer(nbytes: int) -> np.ndarray:
-    """The pool's one allocation site."""
+def _new_block(nbytes: int) -> np.ndarray:
+    """The one allocation site of blocks."""
     return np.empty(nbytes, np.uint8)
 
 
-def _refs(buffers: list[np.ndarray], i: int) -> int:
-    return sys.getrefcount(buffers[i])
+def _overflow(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An array for a take its block has no room for: fresh from np.empty."""
+    return np.empty(shape, dtype)
 
 
-_IDLE_REFS = _refs([_new_buffer(0)], 0)  # the count of a buffer that only the pool holds
+class Block:
+    """One byte buffer handed out as a stack of arrays; see the module docstring."""
+
+    def __init__(self, nbytes: int, kept: bool = True):
+        memory = _new_block(nbytes + _ALIGN)
+        skip = -memory.ctypes.data % _ALIGN
+        self.memory = memory[skip : skip + nbytes]
+        self.nbytes = nbytes
+        self.kept = kept  # whether its pool holds it once it is given back
+        self.top = 0  # bytes in use, from the start
+        self.owner: int | None = None  # the thread that used it last
+
+    def take(self, shape: tuple[int, ...], dtype: np.dtype | type | str) -> np.ndarray:
+        """An uninitialised array of `shape` and `dtype` on the next aligned piece."""
+        dtype = np.dtype(dtype)
+        start = -(-self.top // _ALIGN) * _ALIGN
+        end = start + math.prod(shape) * dtype.itemsize
+        if end > self.nbytes:
+            return _overflow(shape, dtype)
+        self.top = end
+        return self.memory[start:end].view(dtype).reshape(shape)
+
+    @contextmanager
+    def lent(self) -> Iterator["Block"]:
+        """Inside the block, `empty` on the calling thread takes from this block; at its end
+        everything taken inside it is given back."""
+        outer, top = getattr(_lent, "block", None), self.top
+        _lent.block = self
+        try:
+            yield self
+        finally:
+            _lent.block, self.top = outer, top
 
 
-class BufferPool:
-    """Buffers reused across the arrays `empty` makes while the pool is lent; see the module docstring."""
+class frame:
+    """`with frame():` gives back, at its end, what `empty` took inside it from the lent block."""
+
+    __slots__ = ("block", "top")
+
+    def __enter__(self) -> None:
+        self.block = getattr(_lent, "block", None)
+        if self.block is not None:
+            self.top = self.block.top
+
+    def __exit__(self, *exc: object) -> None:
+        if self.block is not None:
+            self.block.top = self.top
+
+
+class BlockPool:
+    """A capped free list of blocks; see the module docstring."""
 
     def __init__(self, cap: int):
         self.cap = cap
-        self.held = 0  # bytes of the buffers kept, idle or in use
-        self._buffers: dict[int, list[np.ndarray]] = {}  # size in bytes -> buffers, oldest first
+        self.held = 0  # bytes of the blocks kept, idle or in use
+        self._idle: list[Block] = []  # oldest given back first
         self._lock = threading.Lock()
 
     @contextmanager
-    def lend(self) -> Iterator[None]:
-        """Inside the block, `empty` on the calling thread takes from this pool."""
-        outer = getattr(_lent, "pool", None)
-        _lent.pool = self
+    def lend(self, nbytes: int) -> Iterator[Block]:
+        """A block of `nbytes`, lent to the calling thread for the with-block, then given back."""
+        block = self._take(nbytes)
         try:
-            yield
+            with block.lent():
+                yield block
         finally:
-            _lent.pool = outer
+            if block.kept:
+                with self._lock:
+                    self._idle.append(block)
 
-    def take(self, shape: tuple[int, ...], dtype: np.dtype | type | str) -> np.ndarray:
-        """An uninitialised array of `shape` and `dtype`: on an idle buffer of its size, on a
-        new one if the cap allows, else from `np.empty`."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        with self._lock:  # a buffer is claimed by making its view, so no other thread sees it idle
-            same = self._buffers.setdefault(nbytes, [])
-            for i in range(len(same)):
-                if _refs(same, i) == _IDLE_REFS:
-                    return same[i].view(dtype).reshape(shape)
-            self._drop_idle(self.held + nbytes - self.cap)
-            if self.held + nbytes > self.cap:
-                return np.empty(shape, dtype)
-            same.append(_new_buffer(nbytes))
-            self.held += nbytes
-            return same[-1].view(dtype).reshape(shape)
-
-    def _drop_idle(self, excess: int) -> None:
-        """Drop idle buffers until `excess` bytes are freed or none is left."""
-        for nbytes, same in self._buffers.items():
-            i = 0
-            while excess > 0 and i < len(same):
-                if _refs(same, i) == _IDLE_REFS:
-                    del same[i]
-                    self.held -= nbytes
-                    excess -= nbytes
-                else:
-                    i += 1
+    def _take(self, nbytes: int) -> Block:
+        me = threading.get_ident()
+        with self._lock:
+            same = [b for b in self._idle if b.nbytes == nbytes]
+            if same:
+                block = next((b for b in reversed(same) if b.owner == me), same[-1])
+                self._idle.remove(block)
+            else:
+                while self._idle and self.held + nbytes > self.cap:
+                    self.held -= self._idle.pop(0).nbytes
+                kept = self.held + nbytes <= self.cap
+                self.held += nbytes if kept else 0
+                block = Block(nbytes, kept)
+        block.owner = me
+        return block
 
 
 def empty(shape: tuple[int, ...], dtype: np.dtype | type | str = np.float64) -> np.ndarray:
-    """`np.empty(shape, dtype)`, on a buffer of the pool lent to this thread if there is one."""
-    pool = getattr(_lent, "pool", None)
-    return np.empty(shape, dtype) if pool is None else pool.take(shape, dtype)
+    """`np.empty(shape, dtype)`, on the block lent to this thread if there is one."""
+    block = getattr(_lent, "block", None)
+    return np.empty(shape, dtype) if block is None else block.take(shape, dtype)
 
 
 def copied(values: np.ndarray, dtype: np.dtype | type | str | None = None) -> np.ndarray:
@@ -112,7 +150,8 @@ def copied(values: np.ndarray, dtype: np.dtype | type | str | None = None) -> np
 
 def all_finite(arr: np.ndarray) -> bool:
     """Whether `arr` holds no NaN or infinity; the mask comes from `empty`."""
-    return bool(np.isfinite(arr, out=empty(arr.shape, np.bool_)).all())
+    with frame():
+        return bool(np.isfinite(arr, out=empty(arr.shape, np.bool_)).all())
 
 
 def select(mask: np.ndarray, a: np.ndarray, b: np.ndarray | None, out: np.ndarray) -> np.ndarray:
@@ -123,11 +162,14 @@ def select(mask: np.ndarray, a: np.ndarray, b: np.ndarray | None, out: np.ndarra
     np.copyto(where=) branch per element and run slower on a mask without pattern.
     """
     bits = np.dtype(f"u{out.itemsize}")
-    ones = np.negative(mask, out=empty(mask.shape, bits), dtype=bits)  # all bits set where mask holds
-    if b is None:
-        np.bitwise_and(a.view(bits), ones, out=out.view(bits))
+    with frame():
+        ones = empty(mask.shape, bits)
+        np.copyto(ones, mask, casting="unsafe")
+        np.negative(ones, out=ones)  # all bits set where mask holds
+        if b is None:
+            np.bitwise_and(a.view(bits), ones, out=out.view(bits))
+            return out
+        picked = np.bitwise_and(a.view(bits), ones, out=empty(mask.shape, bits))
+        np.bitwise_and(b.view(bits), np.invert(ones, out=ones), out=out.view(bits))
+        np.bitwise_or(out.view(bits), picked, out=out.view(bits))
         return out
-    picked = np.bitwise_and(a.view(bits), ones, out=empty(mask.shape, bits))
-    np.bitwise_and(b.view(bits), np.invert(ones, out=ones), out=out.view(bits))
-    np.bitwise_or(out.view(bits), picked, out=out.view(bits))
-    return out

@@ -20,10 +20,12 @@ place, so a failed write never leaves a truncated file behind.
 
 Reading is header first: a CheckpointFile reads and checks the whole
 header (no key twice, dtypes, shapes, offsets inside the file, no
-overlaps) and reads a tensor's words only when that tensor is indexed.
-read_checkpoint opens a file that way and then reads every tensor; asked
-for finite weights, it rejects the first tensor holding NaN or an
-infinity by file and name.
+overlaps) and reads a tensor's words only when that tensor is indexed,
+with one positional read. read_checkpoint opens a file that way and then
+reads every tensor on one descriptor; asked for finite weights, it
+rejects the first tensor holding NaN or an infinity by file and name.
+Every path the library opens goes through one rule (`_os_path`), so a
+path holding NUL is a MergeError, not the OS call's ValueError.
 
 In memory every tensor is widened to float64 for arithmetic; the dtype it
 was stored with (F32, F16 or BF16) is kept per tensor so writing narrows
@@ -48,7 +50,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .buffers import BufferPool, all_finite, copied, empty
+from .buffers import _ALIGN, Block, all_finite, copied, empty, frame
 from .errors import (
     CheckpointError,
     DataOffsetError,
@@ -73,35 +75,67 @@ def _narrow(values: np.ndarray, dtype: str) -> np.ndarray:
     Values go to float32 first, then to F16 or BF16, each step rounding to
     nearest even; values beyond the range become infinities. BF16 NaNs keep
     the quiet bit instead of being rounded into infinity. The words are in C
-    order, so the writer can stream them to a file as they are.
+    order, so the writer can stream them to a file as they are. With a block
+    lent, the words take at most _NARROW_BYTES an element of it while they are made.
     """
     with np.errstate(over="ignore"):
-        f32 = copied(values, "<f4")
-        if dtype != "BF16":
-            return f32 if dtype == "F32" else copied(f32, _WORDS[dtype])
-    u = f32.view("<u4")
-    t = np.bitwise_and(u, 0x7FFFFFFF, out=empty(u.shape, "<u4"))
-    nan = np.greater(t, 0x7F800000, out=empty(u.shape, np.bool_))  # exponent all ones, mantissa not 0
-    # Round to nearest even: add 0x7FFF plus the lowest kept bit, keep the top half.
-    np.right_shift(u, 16, out=t)
-    t &= 1
-    t += u
-    t += 0x7FFF
-    t >>= 16
-    words = copied(t, _WORDS["BF16"])
-    if nan.any():
-        np.right_shift(u, 16, out=t)
-        t |= 0x0040
-        np.copyto(words, t, casting="unsafe", where=nan)
-    return words
+        if dtype == "F32":
+            return copied(values, "<f4")
+        words = empty(values.shape, _WORDS[dtype])
+        with frame():
+            f32 = copied(values, "<f4")
+            if dtype == "F16":
+                np.copyto(words, f32, casting="unsafe")
+                return words
+            u = f32.view("<u4")
+            t = np.bitwise_and(u, 0x7FFFFFFF, out=empty(u.shape, "<u4"))
+            nan = np.greater(t, 0x7F800000, out=empty(u.shape, np.bool_))  # exponent all ones, mantissa not 0
+            # Round to nearest even: add 0x7FFF plus the lowest kept bit, keep the top half.
+            np.right_shift(u, 16, out=t)
+            t &= 1
+            t += u
+            t += 0x7FFF
+            t >>= 16
+            np.copyto(words, t, casting="unsafe")
+            if nan.any():
+                np.right_shift(u, 16, out=t)
+                t |= 0x0040
+                np.copyto(words, t, casting="unsafe", where=nan)
+            return words
 
 
-def _widen(words: np.ndarray) -> np.ndarray:
-    """Storage words back to float64 (exact; a signalling NaN comes back quiet)."""
-    if words.dtype == _WORDS["BF16"]:
-        words = np.left_shift(words, 16, out=empty(words.shape, "<u4"), dtype="<u4").view("<f4")
-    with np.errstate(invalid="ignore"):
-        return copied(words, np.float64)
+_NARROW_BYTES = 11  # BF16: the 2-byte words, a float32 copy, a 4-byte rounding word and the NaN mask
+
+
+def _widen(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Storage words back to float64, into `out` if given (exact; a signalling NaN comes back quiet)."""
+    out = empty(words.shape) if out is None else out
+    with frame():
+        if words.dtype == _WORDS["BF16"]:
+            words = np.left_shift(words, 16, out=empty(words.shape, "<u4"), dtype="<u4").view("<f4")
+        with np.errstate(invalid="ignore"):
+            np.copyto(out, words, casting="unsafe")
+    return out
+
+
+def _snap(values: np.ndarray, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+    """`values` rounded to `dtype` and widened back, into `out` if given (it may be `values` itself)."""
+    out = empty(values.shape) if out is None else out
+    with frame():
+        return _widen(_narrow(values, dtype), out)
+
+
+def _os_path(path: str | os.PathLike) -> str | bytes:
+    """The one rule for every path the library opens: `os.fspath(path)`, or MergeError for a
+    path holding NUL, which no OS call takes."""
+    fs = os.fspath(path)
+    if ("\0" if isinstance(fs, str) else b"\0") in fs:
+        raise MergeError(f"path {fs!r} holds a NUL byte")
+    return fs
+
+
+def _open_fd(path: str | os.PathLike) -> int:
+    return os.open(_os_path(path), os.O_RDONLY | getattr(os, "O_BINARY", 0))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -168,7 +202,9 @@ class Checkpoint:
     """Ordered collection of named tensors with per-tensor stored dtypes.
 
     Immutable by convention once built: operations that derive new
-    parameter sets return new Checkpoints.
+    parameter sets return new Checkpoints. With `out`, each tensor is
+    snapped into `out[name]`, a float64 array of its shape that may be the
+    input array itself, and the checkpoint holds that array.
     """
 
     def __init__(
@@ -176,6 +212,7 @@ class Checkpoint:
         tensors: Mapping[str, np.ndarray],
         dtypes: str | Mapping[str, str] = "F32",
         metadata: Mapping[str, str] | None = None,
+        out: Mapping[str, np.ndarray] | None = None,
     ):
         self.tensors: dict[str, np.ndarray] = {}
         self.dtypes: dict[str, str] = {}
@@ -188,7 +225,7 @@ class Checkpoint:
                 raise CheckpointError(f"tensor {name!r} has no entry in dtypes")
             if dtype not in DTYPES:
                 raise UnknownDtypeError(f"tensor {name!r} has unsupported dtype {dtype!r}")
-            self.tensors[name] = _widen(_narrow(arr, dtype))  # snap to the stored dtype
+            self.tensors[name] = _snap(arr, dtype, None if out is None else out[name])
             self.dtypes[name] = dtype
         if metadata is not None and not _is_str_map(metadata):
             raise InvalidTensorError(f"metadata must map strings to strings, got {metadata!r}")
@@ -268,13 +305,12 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     pad = (8 - len(header_bytes) % 8) % 8
     header_bytes += b" " * pad
 
-    # One tensor's words at a time, on buffers reused from tensor to tensor:
-    # a narrow takes at most 11 bytes an element, so twice the largest
-    # tensor's float64 size holds it and the words still being written.
-    pool = BufferPool(16 * max((arr.size for arr in ckpt.tensors.values()), default=0))
+    # One tensor's words at a time, in one block: each tensor's words are
+    # written before the next tensor is narrowed over them.
+    block = Block(_NARROW_BYTES * max((arr.size for arr in ckpt.tensors.values()), default=0) + 4 * _ALIGN)
 
     def narrow(name: str) -> np.ndarray:
-        with pool.lend():
+        with block.lent():
             return _narrow(ckpt.tensors[name], ckpt.dtypes[name])
 
     words = map(narrow, ckpt.names())
@@ -284,12 +320,12 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def _write_atomic(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write `chunks` to a temp file beside `path`, then rename it onto `path`.
 
-    A path that names no file ("", ".", "..", a root) raises MergeError and
-    creates nothing. On any failure the temp file is removed and an existing
+    A path that names no file ("", ".", "..", a root) or holds NUL raises
+    MergeError and creates nothing. On any failure the temp file is removed and an existing
     file at `path` is left as it was; an OSError that names a file names `path`,
     not the temp file.
     """
-    dest = Path(path)
+    dest = Path(_os_path(path))
     if dest.name in ("", ".."):
         raise MergeError(f"{os.fspath(path)!r} names no file to write")
     tmp = dest.with_name(f".{dest.name}.{uuid.uuid4().hex[:12]}.tmp")
@@ -313,12 +349,15 @@ class CheckpointFile:
     tensor. It offers a Checkpoint's read side: names(), shapes(), dtypes,
     metadata and [name]. With `finite`, indexing a tensor that holds NaN or
     an infinity raises NonFiniteTensorError naming the file and the tensor.
+    Each index is one positional read (`os.preadv`): inside `with file:`, on
+    one descriptor that every thread shares, else on one opened for the read.
     """
 
     def __init__(self, path: str | Path, finite: bool = False):
         self.path = path
         self.finite = finite
-        with open(path, "rb") as fh:
+        self._fd: int | None = None
+        with open(_os_path(path), "rb") as fh:
             prefix = fh.read(8)
             if len(prefix) < 8:
                 raise HeaderLengthError(f"{path}: file too short for a header-length prefix")
@@ -377,25 +416,52 @@ class CheckpointFile:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: shape for name, (shape, _) in self._layout.items()}
 
+    def __enter__(self) -> "CheckpointFile":
+        self._fd = _open_fd(self.path)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        fd, self._fd = self._fd, None
+        os.close(fd)
+
     def __getitem__(self, name: str) -> np.ndarray:
         shape, offset = self._layout[name]
-        word, count = _WORDS[self.dtypes[name]], math.prod(shape)
-        words = empty((count,), word)
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            got = fh.readinto(words)
-        if got != words.nbytes:  # the file shrank after its header was read
-            raise DataOffsetError(
-                f"{self.path}: tensor {name!r} needs {words.nbytes} bytes "
-                f"but the file ends after {got - got % word.itemsize}"
-            )
-        arr = _widen(words).reshape(shape)
+        arr = empty(shape)
+        with frame():
+            words = empty(shape, _WORDS[self.dtypes[name]])
+            got = self._read_at(words.reshape(-1).view(np.uint8), offset)
+            if got != words.nbytes:  # the file shrank after its header was read
+                raise DataOffsetError(
+                    f"{self.path}: tensor {name!r} needs {words.nbytes} bytes "
+                    f"but the file ends after {got - got % words.itemsize}"
+                )
+            _widen(words, arr)
         if self.finite and not all_finite(arr):
             raise NonFiniteTensorError(f"{self.path}: tensor {name!r} holds NaN or infinite values")
         return arr
 
+    def _read_at(self, raw: np.ndarray, offset: int) -> int:
+        """Read the bytes of `raw` from `offset` on; the count read, short only at the end of the file."""
+        preadv = getattr(os, "preadv", None)
+        if preadv is None:  # no positional read (Windows): a file of its own per read
+            with open(_os_path(self.path), "rb") as fh:
+                fh.seek(offset)
+                return fh.readinto(raw)
+        fd = self._fd if self._fd is not None else _open_fd(self.path)
+        try:
+            got = preadv(fd, [raw], offset)
+            while 0 < got < raw.size:  # a read stops short at 2 GiB on Linux
+                more = preadv(fd, [raw[got:]], offset + got)
+                if more == 0:
+                    break
+                got += more
+            return got
+        finally:
+            if fd != self._fd:
+                os.close(fd)
+
 
 def read_checkpoint(path: str | Path, finite: bool = False) -> Checkpoint:
     """Read a safetensors-container checkpoint from `path`; `finite` as for CheckpointFile."""
-    file = CheckpointFile(path, finite)
-    return exact_checkpoint({name: file[name] for name in file.names()}, file.dtypes, file.metadata)
+    with CheckpointFile(path, finite) as file:
+        return exact_checkpoint({name: file[name] for name in file.names()}, file.dtypes, file.metadata)

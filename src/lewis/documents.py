@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import ClassVar
 
-from .checkpoint import _json_object, _write_atomic
+from .checkpoint import _json_object, _os_path, _write_atomic
 from .errors import MergeError
 
 
@@ -58,7 +58,7 @@ class Document:
 
     @classmethod
     def load(cls, path: str | Path):
-        doc = _json_object(Path(path).read_bytes(), str(path), cls._error)
+        doc = _json_object(Path(_os_path(path)).read_bytes(), str(path), cls._error)
         params = inspect.signature(cls).parameters  # the fields plus any InitVar, read but not saved
         known = list(params)
         unknown = sorted(doc.keys() - set(known))

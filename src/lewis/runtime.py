@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .checkpoint import Checkpoint, _is_int, _json_object, _write_atomic
+from .checkpoint import Checkpoint, _is_int, _json_object, _os_path, _write_atomic
 from .documents import Document
 from .errors import ArchError, CalibrationError, MergeError
 from .importance import ActivationProfile, _check_convention
@@ -208,7 +208,7 @@ class CalibrationSet:
         """
         _check_max_seq_len(max_seq_len)
         samples: list[list[int]] = []
-        for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+        for lineno, line in enumerate(Path(_os_path(path)).read_bytes().split(b"\n"), start=1):
             if not line.strip():
                 continue
             where = f"{path}: line {lineno}"

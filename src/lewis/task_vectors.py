@@ -3,7 +3,7 @@
 A task vector is the elementwise parameter difference between a fine-tuned
 checkpoint and its base; the merged model is the base plus an
 alpha-weighted sum of (pruned) task vectors. Both operations are pure and
-never mutate their inputs.
+never mutate their inputs, unless the caller names an input as `out`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .buffers import all_finite, copied, empty
+from .buffers import all_finite, copied, empty, frame
 from .checkpoint import Checkpoint, _is_int
 from .documents import Document
-from .errors import KeysetMismatchError, RecipeError, ShapeMismatchError
+from .errors import KeysetMismatchError, MergeError, RecipeError, ShapeMismatchError
 from .importance import _check_density, _float, _is_finite_real, _is_real
 
 MERGE_METHODS = ("task-arithmetic", "ties", "dare-linear", "dare-ties")
@@ -65,13 +65,17 @@ def check_task_vector_inputs(base, other, model_id: str) -> None:
             )
 
 
-def compute_task_vector(base: Checkpoint, finetuned: Checkpoint, model_id: str) -> TaskVector:
-    """delta[t] = finetuned[t] - base[t] for every tensor t."""
+def compute_task_vector(
+    base: Checkpoint, finetuned: Checkpoint, model_id: str, out: Mapping[str, np.ndarray] | None = None
+) -> TaskVector:
+    """delta[t] = finetuned[t] - base[t] for every tensor t, into `out[t]` if given
+    (it may be the fine-tuned tensor itself)."""
     check_task_vector_inputs(base, finetuned, model_id)
     deltas = {}
     for name in base.names():
         b, f = base[name], finetuned[name]
-        deltas[name] = np.subtract(f, b, out=empty(b.shape, np.result_type(f, b)))
+        into = empty(b.shape, np.result_type(f, b)) if out is None else out[name]
+        deltas[name] = np.subtract(f, b, out=into)
     return TaskVector(deltas=deltas, source_model_id=model_id)
 
 
@@ -93,31 +97,52 @@ def assemble_merged(
     return finalize_checkpoint(merged, base, metadata)
 
 
+def check_out(out: np.ndarray, deltas: Sequence[np.ndarray], where: str) -> None:
+    """Raise MergeError if `out` shares memory with a delta: a combine must leave its deltas
+    as they were, for callers that read them after it (a count of TIES sign conflicts, say)."""
+    if any(np.shares_memory(out, delta) for delta in deltas):
+        raise MergeError(f"{where}: out shares memory with a delta")
+
+
 def linear_combine(
-    base: np.ndarray, deltas: Sequence[np.ndarray], alphas: Sequence[float]
+    base: np.ndarray,
+    deltas: Sequence[np.ndarray],
+    alphas: Sequence[float],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One tensor of a linear merge: base + sum_p alpha_p * delta_p, summed in model order."""
-    acc, scaled = copied(base), empty(base.shape)
-    for delta, alpha in zip(deltas, alphas):
-        acc += np.multiply(delta, _float(alpha), out=scaled)
-    return acc
+    """One tensor of a linear merge: base + sum_p alpha_p * delta_p, summed in model order,
+    into `out` if given (it may be `base`, not a delta)."""
+    if out is None:
+        out = copied(base)
+    else:
+        check_out(out, deltas, "linear_combine")
+        np.copyto(out, base)
+    with frame():
+        scaled = empty(base.shape)
+        for delta, alpha in zip(deltas, alphas):
+            alpha = _float(alpha)
+            out += delta if alpha == 1.0 else np.multiply(delta, alpha, out=scaled)  # d * 1.0 is d
+    return out
 
 
 def finalize_checkpoint(
-    tensors: dict[str, np.ndarray], base: Checkpoint, metadata: Mapping[str, str] | None
+    tensors: dict[str, np.ndarray],
+    base: Checkpoint,
+    metadata: Mapping[str, str] | None,
+    out: Mapping[str, np.ndarray] | None = None,
 ) -> Checkpoint:
     """Build the output checkpoint and reject non-finite results.
 
     Finiteness is checked after values are snapped to the base's stored
     dtypes, so overflow introduced by the narrowing itself is caught too.
-    `lewis.merge` calls it once per merged tensor, as each is combined;
-    `base` only lends its dtypes.
+    `lewis.merge` calls it once per merged tensor, as each is combined,
+    with `out` (see Checkpoint) the tensor's output view; `base` only lends its dtypes.
     """
-    out = Checkpoint(tensors, dict(base.dtypes), metadata)
-    for name, arr in out.tensors.items():
+    merged = Checkpoint(tensors, dict(base.dtypes), metadata, out=out)
+    for name, arr in merged.tensors.items():
         if not all_finite(arr):
             raise RecipeError(f"merged tensor {name!r} contains non-finite values")
-    return out
+    return merged
 
 
 def _path(value: object) -> str | None:

@@ -1,6 +1,7 @@
 """Container IO: round trips, canonical bytes, format errors, role classes."""
 
 import io
+import os
 import json
 import re
 import struct
@@ -83,6 +84,23 @@ class TestRoundTrip:
         path = tmp_path / "meta.safetensors"
         write_checkpoint(ckpt, path)
         assert read_checkpoint(path).metadata == {"origin": "test", "z": "9"}
+
+    @pytest.mark.parametrize("preadv", [True, False], ids=["preadv", "no-preadv"])
+    def test_reads_on_a_shared_descriptor_or_one_per_read(self, tmp_path, monkeypatch, preadv):
+        """Inside `with file:` every read shares one descriptor; outside, each opens its own;
+        where the OS has no os.preadv (Windows), each read opens the file on its own."""
+        if not preadv:
+            monkeypatch.delattr(os, "preadv", raising=False)
+        ckpt = random_fixture_checkpoint(np.random.default_rng(9), max_tensors=5)
+        path = tmp_path / "r.safetensors"
+        write_checkpoint(ckpt, path)
+        assert read_checkpoint(path) == ckpt
+        opened = lewis.checkpoint.CheckpointFile(path)
+        assert all(np.array_equal(opened[name], ckpt[name]) for name in ckpt.names())
+        path.write_bytes(path.read_bytes()[:-2])  # cuts into the last tensor in the data region
+        with opened, pytest.raises(DataOffsetError, match="but the file ends after"):
+            for name in ckpt.names():
+                opened[name]
 
     def test_data_region_in_reverse_order(self, tmp_path):
         ckpt = random_fixture_checkpoint(np.random.default_rng(8), max_tensors=5)

@@ -545,6 +545,29 @@ def test_runs_without_cpu_affinity(workspace, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "capture --model {ws}/fine.safetensors --arch {ws}/arch.json --calib {nul} --out {ws}/p.json",
+        "capture --model {nul} --arch {ws}/arch.json --calib {ws}/calib.jsonl --out {ws}/p.json",
+        "plan --mode lewis-minmax --profile {nul} --base-profile {nul} --out {ws}/plan.json",
+        "plan --mode uniform --density 0.5 --out {nul}",
+        "merge --base {nul} --model {ws}/fine.safetensors --out {ws}/m.safetensors",
+        "merge --recipe {nul} --out {ws}/m.safetensors",
+        "inspect --ckpt {nul}",
+        "eval --ckpt {ws}/base.safetensors --arch {nul} --calib {ws}/calib.jsonl",
+    ],
+    ids=["capture-calib", "capture-model", "plan-profile", "plan-out", "merge-base", "merge-recipe",
+         "inspect", "eval-arch"],
+)
+def test_path_holding_nul_is_named_error(workspace, capsys, args):
+    """Every path the library opens has one rule: a NUL in it is a MergeError and exit 1,
+    not the OS call's ValueError traceback."""
+    code = run([a.format(ws=workspace, nul=workspace / "a\x00b") for a in args.split()])
+    err = capsys.readouterr().err
+    assert code == 1 and "holds a NUL byte" in err and "Traceback" not in err
+
+
 def _capture_args(ws, doc):
     return ["capture", "--model", ws / "fine.safetensors", "--arch", doc,
             "--calib", ws / "calib.jsonl", "--out", ws / "p.json"]

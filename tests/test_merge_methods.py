@@ -4,11 +4,14 @@
 TIES's elect-then-mean rule; `ties_combine` must agree with them.
 """
 
+import contextlib
+import os
 import re
+import sys
 import threading
 import time
 import tracemalloc
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from lewis import (
 )
 from lewis.errors import MergeError, NonFiniteTensorError, RecipeError
 from lewis.pruning import mix_seed
-from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint
+from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint, linear_combine
 from conftest import header_keys, mismatched_model, pin_machine, relayout, reverse_data_region
 
 
@@ -150,6 +153,38 @@ class TestTiesCombine:
 
         two, eight = peak(2), peak(8)
         assert eight <= 1.1 * two, f"peak {eight / (8 * n):.1f} vs {two / (8 * n):.1f} x n*8 bytes"
+
+
+class TestCombineOut:
+    """`ties_combine` and `linear_combine` write into an `out` that shares no memory with a delta."""
+
+    @staticmethod
+    def _combines(base):
+        return [
+            lambda deltas, out=None: ties_combine(deltas, out=out),
+            lambda deltas, out=None: linear_combine(base, deltas, [0.5, 2.0, 1.0], out=out),
+        ]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["ties", "linear"])
+    def test_out_gives_the_bytes_of_a_fresh_result(self, which):
+        rng = np.random.default_rng(7)
+        base, stack = rng.standard_normal(64), rng.standard_normal((3, 64)) * (rng.random((3, 64)) < 0.6)
+        combine = self._combines(base)[which]
+        fresh, before = combine(stack), stack.tobytes()
+        out = np.full(64, np.nan)
+        assert combine(list(stack), out) is out
+        assert out.tobytes() == fresh.tobytes() and stack.tobytes() == before
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["ties", "linear"])
+    def test_out_sharing_a_delta_is_rejected(self, which):
+        rng = np.random.default_rng(8)
+        base, stack = rng.standard_normal(64), rng.standard_normal((3, 64))
+        before = stack.tobytes()
+        combine = self._combines(base)[which]
+        for out in (stack[1], stack.reshape(-1)[32:96], stack[2, ::-1]):
+            with pytest.raises(MergeError, match="out shares memory with a delta"):
+                combine(list(stack), out)
+        assert stack.tobytes() == before
 
 
 def _write_pair(tmp_path, small_arch, delta_scale=0.5, seed=31):
@@ -446,6 +481,19 @@ class TestStreamedMerge:
         with pytest.raises(error, match=rf"'fine'.*'{re.escape(tensor)}'"):
             merge(recipe)
 
+    def test_each_input_is_opened_a_fixed_number_of_times(self, tmp_path):
+        """A merge opens each input as often with 19 tensors as with 67: for its
+        header and for one descriptor that every read shares."""
+        counts = []
+        for blocks in (2, 8):
+            (tmp_path / str(blocks)).mkdir()
+            arch = lewis.ArchConfig(hidden_dim=16, num_blocks=blocks, num_heads=2, mlp_dim=32)
+            recipe = _write_models(tmp_path / str(blocks), arch, 2)
+            with _recording_opens() as opened:
+                merge(recipe)
+            counts.append([opened.count(path) for path in (recipe.base_path, *recipe.model_paths)])
+        assert counts[0] == counts[1] and max(counts[0]) <= 2, counts
+
     @pytest.mark.parametrize("form", ["reversed"])
     def test_input_layout_does_not_change_merged_bytes(self, tmp_path, small_arch, form):
         """Inputs whose data regions store tensors in reverse name order merge
@@ -535,6 +583,28 @@ class TestStreamedMerge:
         self.test_peak_memory_below_two_and_a_half_base_copies(tmp_path, method)
 
 
+_open_logs: list[list[str]] = []  # paths opened while a _recording_opens block runs
+
+
+def _log_open(event: str, args: tuple) -> None:
+    if event == "open" and _open_logs and isinstance(args[0], (str, bytes, os.PathLike)):
+        _open_logs[-1].append(os.fsdecode(args[0]))
+
+
+@contextlib.contextmanager
+def _recording_opens() -> Iterator[list[str]]:
+    """Inside the block, every file open in the process (open(), os.open and the rest
+    raise the "open" audit event) appends its path to the list yielded."""
+    if not getattr(_log_open, "hooked", False):
+        sys.addaudithook(_log_open)  # an audit hook cannot be removed, so it is added once
+        _log_open.hooked = True
+    _open_logs.append([])
+    try:
+        yield _open_logs[-1]
+    finally:
+        _open_logs.pop()
+
+
 def _write_models(tmp_path, arch, count: int, bad: Sequence[str] = ()) -> MergeRecipe:
     """A base and `count` fine-tunes of it on disk; the last fine-tune holds NaN in the `bad` tensors."""
     base = lewis.random_checkpoint(arch, seed=91)
@@ -600,7 +670,7 @@ class TestThreadedMerge:
         all_running = threading.Barrier(4, timeout=10)
         compute = lewis.merge_methods.compute_task_vector
 
-        def failing_compute(base, finetuned, model_id):
+        def failing_compute(base, finetuned, model_id, **kwargs):
             name = base.names()[0]
             started.append(name)
             if name in names[:4]:
@@ -608,7 +678,7 @@ class TestThreadedMerge:
             if name == names[0]:
                 raise RuntimeError("task vector failed")
             time.sleep(0.2)  # the failure is recorded before these finish
-            return compute(base, finetuned, model_id)
+            return compute(base, finetuned, model_id, **kwargs)
 
         monkeypatch.setattr(lewis.merge_methods, "compute_task_vector", failing_compute)
         pin_machine(monkeypatch, cores=4)
