@@ -20,9 +20,10 @@ place, so a failed write never leaves a truncated file behind.
 
 Reading is header first: a CheckpointFile reads and checks the whole
 header (no key twice, dtypes, shapes, offsets inside the file, no
-overlaps) and reads a tensor's words only when that tensor is indexed,
-with one positional read. read_checkpoint opens a file that way and then
-reads every tensor on one descriptor; asked for finite weights, it
+overlaps) and reads tensor data only when asked, with one positional read
+for tensors asked for together that share a dtype and lie back to back
+in the file. read_checkpoint opens a file that way and then reads every
+tensor on one descriptor; asked for finite weights, it
 rejects the first tensor holding NaN or an infinity by file and name.
 Every path the library opens goes through one rule (`_os_path`), so a
 path holding NUL is a MergeError, not the OS call's ValueError.
@@ -46,7 +47,7 @@ import os
 import struct
 import uuid
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -346,17 +347,19 @@ class CheckpointFile:
     """A safetensors checkpoint opened by its header alone.
 
     Opening reads and checks the whole header; indexing reads and widens one
-    tensor. It offers a Checkpoint's read side: names(), shapes(), dtypes,
-    metadata and [name]. With `finite`, indexing a tensor that holds NaN or
-    an infinity raises NonFiniteTensorError naming the file and the tensor.
-    Each index is one positional read (`os.preadv`): inside `with file:`, on
-    one descriptor that every thread shares, else on one opened for the read.
+    tensor, and `read` several into one array. It offers a Checkpoint's read
+    side: names(), shapes(), dtypes, metadata and [name]. With `finite`,
+    reading a tensor that holds NaN or an infinity raises
+    NonFiniteTensorError naming the file and the tensor. Reads are
+    positional (`os.preadv`): inside `with file:` (which may nest), on one
+    descriptor that every thread shares, else on one opened for the read.
     """
 
     def __init__(self, path: str | Path, finite: bool = False):
         self.path = path
         self.finite = finite
         self._fd: int | None = None
+        self._entered = 0  # nested `with file:` blocks share the descriptor the outermost opened
         with open(_os_path(path), "rb") as fh:
             prefix = fh.read(8)
             if len(prefix) < 8:
@@ -417,28 +420,62 @@ class CheckpointFile:
         return {name: shape for name, (shape, _) in self._layout.items()}
 
     def __enter__(self) -> "CheckpointFile":
-        self._fd = _open_fd(self.path)
+        if self._entered == 0:
+            self._fd = _open_fd(self.path)
+        self._entered += 1
         return self
 
     def __exit__(self, *exc: object) -> None:
-        fd, self._fd = self._fd, None
-        os.close(fd)
+        if self._entered == 0:
+            raise MergeError(f"{self.path}: exit without a matching enter")
+        self._entered -= 1
+        if self._entered == 0:
+            fd, self._fd = self._fd, None
+            os.close(fd)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        shape, offset = self._layout[name]
-        arr = empty(shape)
-        with frame():
-            words = empty(shape, _WORDS[self.dtypes[name]])
-            got = self._read_at(words.reshape(-1).view(np.uint8), offset)
-            if got != words.nbytes:  # the file shrank after its header was read
-                raise DataOffsetError(
-                    f"{self.path}: tensor {name!r} needs {words.nbytes} bytes "
-                    f"but the file ends after {got - got % words.itemsize}"
-                )
-            _widen(words, arr)
-        if self.finite and not all_finite(arr):
-            raise NonFiniteTensorError(f"{self.path}: tensor {name!r} holds NaN or infinite values")
-        return arr
+        return self.read([name]).reshape(self._layout[name][0])
+
+    def read(self, names: Sequence[str], out: np.ndarray | None = None) -> np.ndarray:
+        """The named tensors' values back to back, in the order given, as one flat float64
+        array (into `out`, if given). Tensors of one dtype that lie back to back in the file
+        take one positional read and one widening. With `finite`, one check covers them all,
+        and a failure names the first of them that holds NaN or an infinity."""
+        counts = [math.prod(self._layout[name][0]) for name in names]
+        out = empty((sum(counts),)) if out is None else out
+        i = at = 0
+        while i < len(names):  # one group of tensors per pass
+            word, offset = _WORDS[self.dtypes[names[i]]], self._layout[names[i]][1]
+            j, end = i + 1, offset + counts[i] * word.itemsize
+            while j < len(names) and _WORDS[self.dtypes[names[j]]] == word and self._layout[names[j]][1] == end:
+                end, j = end + counts[j] * word.itemsize, j + 1
+            n = (end - offset) // word.itemsize
+            with frame():
+                words = empty((n,), word)
+                got = self._read_at(words.view(np.uint8), offset)
+                if got != words.nbytes:  # the file shrank after its header was read
+                    raise self._short_read(names[i:j], got)
+                _widen(words, out[at : at + n])
+            i, at = j, at + n
+        if self.finite and not all_finite(out):
+            at = 0
+            for name, count in zip(names, counts):
+                if not all_finite(out[at : at + count]):
+                    raise NonFiniteTensorError(f"{self.path}: tensor {name!r} holds NaN or infinite values")
+                at += count
+        return out
+
+    def _short_read(self, names: Sequence[str], got: int) -> DataOffsetError:
+        """The error for the first of `names`, read back to back, that `got` bytes fall short of."""
+        for name in names:
+            word = _WORDS[self.dtypes[name]]
+            need = math.prod(self._layout[name][0]) * word.itemsize
+            if got < need:
+                break
+            got -= need
+        return DataOffsetError(
+            f"{self.path}: tensor {name!r} needs {need} bytes but the file ends after {got - got % word.itemsize}"
+        )
 
     def _read_at(self, raw: np.ndarray, offset: int) -> int:
         """Read the bytes of `raw` from `offset` on; the count read, short only at the end of the file."""

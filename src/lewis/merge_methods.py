@@ -1,16 +1,16 @@
 """Merge-method dispatch: task arithmetic, TIES, and the DARE variants.
 
-All four methods run one flow, tensor by tensor. The base and every model
-are opened by their headers, and their names and shapes are checked
+All four methods run one flow, run by run (see below). The base and every
+model are opened by their headers, and their names and shapes are checked
 against each other before any tensor data is read, as is each plan's
 block set: a plan that sets a block no base tensor belongs to (a plan
-for another model) raises PlanError. Then, for each tensor
-name, that tensor of each input is read and checked finite (else
-NonFiniteTensorError names the file and the tensor), turned into a task
-vector and pruned at its plan's density (magnitude trim for
-task-arithmetic and ties, random drop and rescale for the DARE methods),
-the pruned deltas are combined and the result is snapped to the base's
-dtype and checked finite.
+for another model) raises PlanError. Then, for each run of tensors, the
+run's tensors of each input are read and checked finite (else
+NonFiniteTensorError names the file and the tensor), turned into task
+vectors and pruned, each tensor at its plan's density (magnitude trim
+for task-arithmetic and ties, random drop and rescale for the DARE
+methods), the pruned deltas are combined and the result is snapped to
+the base's dtypes and checked finite.
 
 Task arithmetic and dare-linear add the alpha-scaled deltas to the base
 in model order; ties and dare-ties first elect a per-parameter sign by
@@ -22,40 +22,47 @@ scale before sign election, so the single-model full-density merge is
 exactly the fine-tuned checkpoint.
 
 Each tensor's result depends only on its own inputs (the DARE drop stream
-is keyed by the tensor name), so tensors run on min(tensors, usable cores)
-worker threads; the merge does no BLAS work, so the BLAS thread variables
-do not lower that count. The calling thread is one of the workers, and
-all of them take tensor names in name order (`parallel.map_in_order`).
+is keyed by the tensor name), and only the trim and the drop need to know
+where a tensor starts and ends, so the unit of work is a run: consecutive
+tensors in name order whose elements add up to at most the largest
+tensor's, each run as long as that allows. Runs go to min(runs, usable
+cores) worker threads; the merge does no BLAS work, so the BLAS thread
+variables do not lower that count. The calling thread is one of the
+workers, and all of them take runs in name order (`parallel.map_in_order`).
 Before they start, the calling thread allocates one float64 buffer for
-the whole output, and each worker writes its tensor into that tensor's
-view, so the output is not allocated on a helper thread. Tensors in
-flight hold at most twice the largest tensor's element count. Each input
-file is opened twice per merge, for its header and for one descriptor
-that every read shares (`os.preadv`), however many tensors it has.
+the whole output, the tensors back to back in name order, so each run's
+output is one slice of it and is not allocated on a helper thread. Each
+input file is opened twice per merge, for its header and for one
+descriptor that every read shares (`os.preadv`), however many tensors it
+has.
 
-A tensor in flight works in one scratch block (`buffers.Block`): its base
-and one delta per model, float64, at the bottom, and above them the
-largest kernel's temporaries, 27 bytes an element for an election (up to
-255 models) and 11 (the BF16 snap) otherwise. Every stage works in place:
-a read widens into the block, the task vector subtracts in place, the
-trim and the drop select from the delta into itself, the combine writes
-into the tensor's output view, and the snap narrows and widens there. So
-a tensor takes 8 × (models + 1) + 27 bytes an element for ties and
-dare-ties, 8 × (models + 1) + 11 for the linear methods, and no other
-memory of its size. Blocks come from one `buffers.BlockPool` per merge,
-which keeps, in use and idle together, the blocks of one and a half times
-the in-flight budget, and never more than (models + 10) × 8 bytes per
-element of it. A worker gets an idle block of its tensor's size, the one
-it used last if it can, so tensors of a few shapes taking turns reuse
-their blocks instead of faulting fresh memory in. After a failure no
-worker starts another tensor, and the merge raises the error of the
-failing tensor that comes first in name order, the one a serial loop
-raises. The output bytes do not depend on the worker count.
+A run works in one scratch block (`buffers.Block`) made for the largest
+tensor's elements, so one block fits any run. At its bottom, each input's
+tensors of the run are read back to back into one float64 region
+(`CheckpointFile.read`: the tensors of one dtype that lie back to back in
+the file take one read) and checked finite at once; above them is room
+for the largest kernel's temporaries, 19 bytes an element for an
+election (up to 255 models) and 11 (the BF16 snap) otherwise. The trim
+and the drop run per tensor on views of the regions, so each tensor
+keeps its own threshold and Philox stream; one combine covers the run's
+regions and writes into its output slice. Every stage works in place, so
+a run takes 8 × (models + 1) + 19 bytes per element of the largest tensor
+for ties and dare-ties, 8 × (models + 1) + 11 for the linear methods,
+and no other memory of its size. Each run is charged its block against
+an in-flight budget of twice the largest tensor's elements, so at most
+two runs are in flight. Blocks come from one `buffers.BlockPool` per
+merge, and a worker gets back the block it used last, so a merge makes
+one block per run in flight. After a failure no worker starts another
+run, and the merge raises the error of the failing run that comes first
+in name order. A run that fails is done again tensor by tensor, so its
+error is the one a serial loop over the tensors meets first. The output
+bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -128,13 +135,27 @@ def ties_combine(deltas: Sequence[np.ndarray], out: np.ndarray | None = None) ->
 
 
 def _block_layout(models: int, elect: bool) -> tuple[int, int]:
-    """The scratch one tensor's merge takes (see the module docstring), as bytes an element
-    and bytes of alignment: the base and one delta per model in float64, then the largest
-    kernel's temporaries. An election takes 25 bytes an element plus its two counts; the
-    snap takes _NARROW_BYTES, the trim 10, the drop 9 and a read 6."""
+    """The scratch a run's merge takes (see the module docstring), as bytes per element of
+    the block and bytes of alignment: the base and one delta per model in float64, then the
+    largest kernel's temporaries. An election takes 17 bytes an element plus its two counts;
+    the snap takes _NARROW_BYTES, the trim 10, the drop 9 and a read 6."""
     counts = np.min_scalar_type(models).itemsize
-    temporaries = max(25 + 2 * counts if elect else 0, _NARROW_BYTES)
+    temporaries = max(17 + 2 * counts if elect else 0, _NARROW_BYTES)
     return 8 * (models + 1) + temporaries, _ALIGN * (models + 8)
+
+
+def _runs(sizes: Sequence[int], limit: int) -> list[range]:
+    """Consecutive index ranges of `sizes`, in order, each as long as it can be while its
+    sizes add up to at most `limit` (a size over `limit` makes a range of its own)."""
+    runs: list[range] = []
+    total = 0
+    for i, size in enumerate(sizes):
+        if runs and total + size <= limit:
+            runs[-1], total = range(runs[-1].start, i + 1), total + size
+        else:
+            runs.append(range(i, i + 1))
+            total = size
+    return runs
 
 
 def derive_model_ids(paths: Sequence[str]) -> list[str]:
@@ -176,7 +197,7 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     for model, model_id in zip(models, model_ids):
         check_task_vector_inputs(base, model, model_id)
 
-    roles = role_classifier(detect_naming_scheme(base.names()))
+    roles = functools.cache(role_classifier(detect_naming_scheme(base.names())))  # each model's prune asks again
     blocks = {roles(name).block_index for name in base.names()}
     for model_id, plan in zip(model_ids, plans):
         if foreign := sorted(plan.densities.keys() - blocks):
@@ -199,47 +220,64 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
 
     elect = recipe.method in ("ties", "dare-ties")
     names, shapes = base.names(), base.shapes()
-    sizes = {name: math.prod(shapes[name]) for name in names}
-    # The calling thread allocates the whole output, so it outlives the
-    # workers in the calling thread's malloc arena, not in theirs.
-    views = np.split(np.empty(sum(sizes.values())), list(itertools.accumulate(sizes.values()))[:-1])
-    out = {name: view.reshape(shapes[name]) for name, view in zip(names, views)}
-    budget = 2 * max(sizes.values(), default=0)
+    sizes = [math.prod(shapes[name]) for name in names]
+    starts = [0, *itertools.accumulate(sizes)]  # each tensor's offset in the output
+    largest = max(sizes, default=0)
+    runs = _runs(sizes, largest)
+    # The calling thread allocates the whole output, the tensors back to back in name
+    # order, so it outlives the workers in the calling thread's malloc arena, not in theirs.
+    output = np.empty(starts[-1])
     workers = usable_cores()
     per_element, pad = _block_layout(len(models), elect)
-    # The pool keeps the blocks of the tensors in flight (at most `budget` elements on
-    # at most `workers` blocks) and idle blocks of half as many elements again, so that
-    # tensors of a few shapes reuse their blocks; never more than (models + 10) × 8
-    # bytes per element of the budget.
-    cap = min(per_element * (budget + budget // 2), (len(models) + 10) * 8 * budget)
-    pool = BlockPool(cap + workers * pad)
+    # Every run gets a block for `largest` elements, which fits any run, and is charged
+    # that much of an in-flight budget of twice the largest tensor's elements: two runs
+    # are in flight, and the pool keeps their two blocks for the runs after them.
+    block = per_element * largest + pad
+    pool = BlockPool(2 * block)
+    files = (base, *models)
 
-    def shard(ckpt, name: str) -> Checkpoint:
-        return exact_checkpoint({name: ckpt[name]}, {name: ckpt.dtypes[name]})
+    def views(flat: np.ndarray, run: range) -> dict[str, np.ndarray]:
+        """The tensors of `run` on `flat`, which holds them back to back."""
+        at = starts[run.start]
+        return {names[i]: flat[starts[i] - at : starts[i + 1] - at].reshape(shapes[names[i]]) for i in run}
 
-    def combine(name: str) -> None:
-        # The whole-model functions, fed one-tensor checkpoints, under the names
-        # perfbench's traced run wraps. Each works in place or into its out=, and
-        # every array they make is taken from this tensor's block.
-        with pool.lend(per_element * sizes[name] + pad):
-            base_t = shard(base, name)
-            deltas = []
-            for model, model_id, plan, seed in zip(models, model_ids, plans, seeds):
-                fine = shard(model, name)
+    def merge_run(run: range) -> None:
+        # The whole-model functions, fed checkpoints of the run's tensors, under the
+        # names perfbench's traced run wraps. Each works in place or into its out=,
+        # and every array they make is taken from this run's block.
+        run_names = names[run.start : run.stop]
+        merged = output[starts[run.start] : starts[run.stop]]
+        with pool.lend(block):
+            base_run, *deltas = [file.read(run_names) for file in files]
+            base_t = exact_checkpoint(views(base_run, run), base.dtypes)
+            for delta, model, model_id, plan, seed in zip(deltas, models, model_ids, plans, seeds):
+                fine = exact_checkpoint(views(delta, run), model.dtypes)
                 tv = compute_task_vector(base_t, fine, model_id, out=fine.tensors)
-                deltas.append(apply_plan(tv, plan, g_mode, roles, seed=seed, out=tv.deltas)[name])
+                apply_plan(tv, plan, g_mode, roles, seed=seed, out=tv.deltas)
             if not elect:
-                merged = linear_combine(base_t[name], deltas, alphas, out=out[name])
+                linear_combine(base_run, deltas, alphas, out=merged)
             else:
                 for d, a in zip(deltas, alphas):
                     if a != 1.0:  # d * 1.0 is d
                         d *= a
-                merged = ties_combine(deltas, out=out[name])
-                merged += base_t[name]
-            finalize_checkpoint({name: merged}, base, None, out={name: merged})
+                ties_combine(deltas, out=merged)
+                merged += base_run
+            tensors = views(merged, run)
+            finalize_checkpoint(tensors, base, None, out=tensors)
 
-    with contextlib.ExitStack() as files:  # one descriptor per input for every read, closed at the end
-        for file in (base, *models):
-            files.enter_context(file)
-        map_in_order(combine, names, workers, cost=sizes.__getitem__, budget=budget)
-    return exact_checkpoint(out, base.dtypes, metadata)
+    def combine(run: range) -> None:
+        try:
+            merge_run(run)
+        except MergeError:
+            # A run reads every input before it prunes, and prunes model by model, so
+            # its error need not be the one a serial loop over the tensors meets
+            # first: redo the run tensor by tensor, and the first tensor that fails raises.
+            for i in run:
+                merge_run(range(i, i + 1))
+            raise
+
+    with contextlib.ExitStack() as opened:  # one descriptor per input for every read, closed at the end
+        for file in files:
+            opened.enter_context(file)
+        map_in_order(combine, runs, workers, cost=lambda run: largest, budget=2 * largest)
+    return exact_checkpoint(views(output, range(len(names))), base.dtypes, metadata)

@@ -196,14 +196,14 @@ def test_blocks_of_one_shape_reuse_the_first_blocks_buffers(tmp_path, monkeypatc
         merged = merge(recipe)
         write_checkpoint(merged, tmp_path / "merged.safetensors")
         counts.append(len(calls))
-    assert counts[0] == counts[1]  # one block per tensor size, and the writer's: 19 tensors, then 67
+    assert counts[0] == counts[1]  # one block for every run, and the writer's: 19 tensors, then 67
 
 
 @pytest.mark.parametrize("models", [1, 3])
 @pytest.mark.parametrize("dtype", lewis.checkpoint.DTYPES)
 @pytest.mark.parametrize("method", MERGE_METHODS)
 def test_a_tensor_fits_in_its_block(tmp_path, monkeypatch, method, dtype, models):
-    """The block layout in merge_methods holds every array a tensor's merge and write make."""
+    """The block layout in merge_methods holds every array a run's merge and a tensor's write make."""
     fresh = []
     overflow = lewis.buffers._overflow
     monkeypatch.setattr(lewis.buffers, "_overflow", lambda shape, dtype: fresh.append(shape) or overflow(shape, dtype))
@@ -230,9 +230,9 @@ def test_pool_holding_never_exceeds_its_cap(tmp_path, monkeypatch, cores):
             holdings.append((self.held, self.cap))
             return block
 
-    # Half again the block of the 256 x 16 embedding (51 bytes an element for
-    # ties of two models): the pool evicts all along.
-    cap = 3 * 51 * 256 * 16 // 2
+    # Half again the block of the 256 x 16 embedding, which every run gets (43 bytes
+    # an element for ties of two models): the pool evicts all along.
+    cap = 3 * 43 * 256 * 16 // 2
     monkeypatch.setattr(lewis.merge_methods, "BlockPool", lambda _cap: CheckedPool(cap))
     assert _tensor_bytes(merge(recipe)) == expected
     assert holdings and all(held <= cap for held, cap in holdings)

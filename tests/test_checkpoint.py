@@ -27,6 +27,7 @@ from lewis.errors import (
     HeaderParseError,
     InvalidTensorError,
     MergeError,
+    NonFiniteTensorError,
     UnknownDtypeError,
 )
 import lewis.checkpoint
@@ -101,6 +102,88 @@ class TestRoundTrip:
         with opened, pytest.raises(DataOffsetError, match="but the file ends after"):
             for name in ckpt.names():
                 opened[name]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_read_gives_the_named_tensors_back_to_back(self, tmp_path, seed, data):
+        """`read` of any names, in any order, from canonical or reversed data regions, is
+        the tensors' values back to back; one read covers tensors of one dtype that lie
+        back to back in the file, and a non-finite one is named, the first in the order given."""
+        ckpt = random_fixture_checkpoint(np.random.default_rng(seed), max_tensors=8)
+        canonical, reversed_ = tmp_path / "c.safetensors", tmp_path / "r.safetensors"
+        write_checkpoint(ckpt, canonical)
+        reverse_data_region(canonical, reversed_)
+        names = data.draw(st.lists(st.sampled_from(ckpt.names()), min_size=1, max_size=8, unique=True))
+        expected = np.concatenate([ckpt[name].ravel() for name in names])
+        for path in (canonical, reversed_):
+            with lewis.checkpoint.CheckpointFile(path) as opened:
+                out = np.full(expected.size + 1, 7.0)
+                assert opened.read(names, out[:-1]) is not None and out[-1] == 7.0
+                assert out[:-1].tobytes() == expected.tobytes() == opened.read(names).tobytes()
+        bad = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        tensors = {name: ckpt[name].copy() for name in ckpt.names()}
+        for name in bad:
+            tensors[name].flat[-1] = np.nan if name < names[0] else np.inf
+        write_checkpoint(Checkpoint(tensors, ckpt.dtypes), canonical)
+        first = min(bad, key=names.index)
+        with pytest.raises(NonFiniteTensorError, match=f"tensor {re.escape(repr(first))} holds NaN"):
+            lewis.checkpoint.CheckpointFile(canonical, finite=True).read(names)
+        assert lewis.checkpoint.CheckpointFile(canonical).read(names).size == expected.size
+
+    def test_tensors_of_one_dtype_back_to_back_take_one_read(self, tmp_path, monkeypatch):
+        ckpt = Checkpoint({"a": np.ones(3), "b": np.ones(5), "c": np.ones(2), "d": np.ones(4)},
+                          {"a": "F32", "b": "F32", "c": "BF16", "d": "F32"})
+        canonical, reversed_ = tmp_path / "c.safetensors", tmp_path / "r.safetensors"
+        write_checkpoint(ckpt, canonical)
+        reverse_data_region(canonical, reversed_)
+        reads = []
+        read_at = lewis.checkpoint.CheckpointFile._read_at
+        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "_read_at", lambda self, raw, at: reads.append(raw.size) or read_at(self, raw, at))
+        for path, names, sizes in (
+            (canonical, ["a", "b", "c", "d"], [32, 4, 16]),
+            (canonical, ["b", "a"], [20, 12]),
+            (reversed_, ["a", "b", "c", "d"], [12, 20, 4, 16]),
+        ):
+            reads.clear()
+            assert lewis.checkpoint.CheckpointFile(path).read(names).size == sum(ckpt[n].size for n in names)
+            assert reads == sizes, (path.name, names)
+
+    def test_a_short_read_names_the_tensor_the_file_ends_in(self, tmp_path):
+        ckpt = Checkpoint({"a": np.ones(4), "b": np.ones(6), "c": np.ones(2)}, "F16")
+        path = tmp_path / "s.safetensors"
+        write_checkpoint(ckpt, path)
+        opened = lewis.checkpoint.CheckpointFile(path)
+        path.write_bytes(path.read_bytes()[:-2 * 2 - 3])  # the file now ends one byte into b's fifth word
+        with pytest.raises(DataOffsetError, match=r"tensor 'b' needs 12 bytes but the file ends after 8$"):
+            opened.read(["a", "b", "c"])
+
+    def test_nested_with_shares_one_descriptor_closed_by_the_outermost(self, tmp_path, monkeypatch):
+        path = tmp_path / "n.safetensors"
+        write_checkpoint(Checkpoint({"w": np.arange(3.0)}), path)
+        opened = lewis.checkpoint.CheckpointFile(path)
+        opens, closes = [], []
+        open_fd, close = lewis.checkpoint._open_fd, os.close
+        monkeypatch.setattr(lewis.checkpoint, "_open_fd", lambda p: opens.append(open_fd(p)) or opens[-1])
+        monkeypatch.setattr(os, "close", lambda fd: closes.append(fd) or close(fd))
+        with opened:
+            with opened:
+                assert opened["w"].tolist() == [0.0, 1.0, 2.0]
+            assert closes == [] and opened["w"].tolist() == [0.0, 1.0, 2.0]
+        assert len(opens) == 1 and closes == opens
+        with opened:  # it opens again after the outermost block closed it
+            pass
+        assert len(opens) == 2 and closes == opens
+
+    def test_exit_without_enter_is_named_error(self, tmp_path):
+        path = tmp_path / "x.safetensors"
+        write_checkpoint(Checkpoint({"w": np.ones(2)}), path)
+        opened = lewis.checkpoint.CheckpointFile(path)
+        with pytest.raises(MergeError, match=r"x\.safetensors: exit without a matching enter"):
+            opened.__exit__(None, None, None)
+        with opened:
+            pass
+        with pytest.raises(MergeError, match="exit without a matching enter"):
+            opened.__exit__(None, None, None)
 
     def test_data_region_in_reverse_order(self, tmp_path):
         ckpt = random_fixture_checkpoint(np.random.default_rng(8), max_tensors=5)

@@ -409,9 +409,10 @@ class TestMerge:
             assert all(np.all(np.isfinite(merged[n])) for n in merged.names())
 
     @pytest.mark.parametrize("method", MERGE_METHODS)
-    def test_merge_matches_public_recomposition(self, tmp_path, small_arch, method):
-        """merge() writes the bytes of task vector -> prune -> combine -> finalize."""
-        base = lewis.random_checkpoint(small_arch, seed=61)
+    def test_merge_matches_public_recomposition(self, tmp_path, monkeypatch, small_arch, method):
+        """merge() writes the bytes of task vector -> prune -> combine -> finalize, at 1, 2
+        and 4 workers, on inputs whose runs hold tensors of odd sizes and mixed dtypes."""
+        base = run_edges_checkpoint(small_arch, seed=61)
         rng = np.random.default_rng(62)
         paths = []
         for i in range(2):
@@ -431,6 +432,11 @@ class TestMerge:
             base_path=str(tmp_path / "base.safetensors"), model_paths=[str(p) for p in paths],
             alphas=[0.7, -1.3], method=method, seed=17,
         )
+        outputs = set()
+        for cores in (1, 2, 4):
+            pin_machine(monkeypatch, cores=cores)
+            write_checkpoint(merge(recipe, plans), tmp_path / "merged.safetensors")
+            outputs.add((tmp_path / "merged.safetensors").read_bytes())
         merged = merge(recipe, plans)
 
         base = lewis.read_checkpoint(recipe.base_path)
@@ -453,11 +459,8 @@ class TestMerge:
                 for n in base.names()
             }
             expected = finalize_checkpoint(tensors, base, merged.metadata)
-        write_checkpoint(merged, tmp_path / "merged.safetensors")
         write_checkpoint(expected, tmp_path / "expected.safetensors")
-        assert (tmp_path / "merged.safetensors").read_bytes() == (
-            tmp_path / "expected.safetensors"
-        ).read_bytes()
+        assert outputs == {(tmp_path / "expected.safetensors").read_bytes()}
 
 
 class TestStreamedMerge:
@@ -474,10 +477,10 @@ class TestStreamedMerge:
             model_paths=[str(tmp_path / "good.safetensors"), str(tmp_path / "fine.safetensors")],
         )
 
-        def no_read(self, name):
-            raise AssertionError(f"tensor {name!r} read before the inputs were checked")
+        def no_read(self, names, out=None):
+            raise AssertionError(f"tensors {names!r} read before the inputs were checked")
 
-        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "__getitem__", no_read)
+        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "read", no_read)
         with pytest.raises(error, match=rf"'fine'.*'{re.escape(tensor)}'"):
             merge(recipe)
 
@@ -583,6 +586,24 @@ class TestStreamedMerge:
         self.test_peak_memory_below_two_and_a_half_base_copies(tmp_path, method)
 
 
+def run_edges_checkpoint(arch, seed: int) -> Checkpoint:
+    """A toy model of `arch` (its largest tensors the embedding and the head) plus tensors
+    whose sizes are not multiples of 8, so the 64-byte pieces of a block leave gaps, and
+    one that makes the blocks' tensors add up to exactly the largest tensor's size, so
+    their run closes there. Stored dtypes cycle F32, F32, BF16, F16 in name order, so
+    consecutive names differ in dtype, or share it."""
+    base = lewis.random_checkpoint(arch, seed=seed)
+    rng = np.random.default_rng(seed)
+    tensors = dict(base.tensors)
+    tensors["blocks.0.mlp.odd"] = rng.standard_normal((3, 5))
+    tensors["blocks.1.attn_norm.odd"] = rng.standard_normal(7)
+    fill = tensors["embed.weight"].size - sum(arr.size for name, arr in tensors.items() if name.startswith("blocks."))
+    assert fill > 0 and fill % 8
+    tensors["blocks.1.zfill"] = rng.standard_normal(fill)  # the last of the blocks' tensors in name order
+    cycle = ("F32", "F32", "BF16", "F16")
+    return Checkpoint(tensors, {name: cycle[i % 4] for i, name in enumerate(sorted(tensors))})
+
+
 _open_logs: list[list[str]] = []  # paths opened while a _recording_opens block runs
 
 
@@ -605,9 +626,10 @@ def _recording_opens() -> Iterator[list[str]]:
         _open_logs.pop()
 
 
-def _write_models(tmp_path, arch, count: int, bad: Sequence[str] = ()) -> MergeRecipe:
-    """A base and `count` fine-tunes of it on disk; the last fine-tune holds NaN in the `bad` tensors."""
-    base = lewis.random_checkpoint(arch, seed=91)
+def _write_models(tmp_path, arch, count: int, bad: Sequence[str] = (), base: Checkpoint | None = None) -> MergeRecipe:
+    """A base (random of `arch` if not given) and `count` fine-tunes of it, stored in the base's
+    dtypes, on disk; the last fine-tune holds NaN in the `bad` tensors."""
+    base = lewis.random_checkpoint(arch, seed=91) if base is None else base
     rng = np.random.default_rng(92)
     write_checkpoint(base, tmp_path / "base.safetensors")
     paths = []
@@ -617,7 +639,7 @@ def _write_models(tmp_path, arch, count: int, bad: Sequence[str] = ()) -> MergeR
             for name in bad:
                 tensors[name][(0,) * tensors[name].ndim] = np.nan
         paths.append(tmp_path / f"f{i}.safetensors")
-        write_checkpoint(Checkpoint(tensors), paths[-1])
+        write_checkpoint(Checkpoint(tensors, dict(base.dtypes)), paths[-1])
     return MergeRecipe(
         base_path=str(tmp_path / "base.safetensors"), model_paths=[str(p) for p in paths],
         plan_refs=0.5, seed=5,
@@ -630,7 +652,7 @@ class TestThreadedMerge:
 
     @pytest.mark.parametrize("method", MERGE_METHODS)
     def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, small_arch, method):
-        recipe = _write_models(tmp_path, small_arch, 2)
+        recipe = _write_models(tmp_path, small_arch, 2, base=run_edges_checkpoint(small_arch, seed=91))
         recipe.method = method
         outputs = []
         for cores in (1, 2, 4):
@@ -641,50 +663,89 @@ class TestThreadedMerge:
 
     def test_first_failing_tensor_in_name_order_is_raised(self, tmp_path, monkeypatch, small_arch):
         names = sorted(lewis.random_checkpoint(small_arch, seed=0).names())
-        first, later = names[1], names[2]
+        first, later = names[1], names[-1]  # in the first run (the blocks' tensors) and in the last (the head)
         recipe = _write_models(tmp_path, small_arch, 1, bad=[first, later])
         later_failed = threading.Event()
-        read = lewis.checkpoint.CheckpointFile.__getitem__
+        read = lewis.checkpoint.CheckpointFile.read
 
-        def slow_first_read(self, name):
-            # The earlier bad tensor fails only after the later one has.
-            if name == first:
+        def slow_first_read(self, run, out=None):
+            # The run holding the earlier bad tensor fails only after the later one has.
+            if first in run:
                 later_failed.wait(timeout=10)
             try:
-                return read(self, name)
+                return read(self, run, out)
             except NonFiniteTensorError:
-                if name == later:
+                if later in run:
                     later_failed.set()
                 raise
 
-        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "__getitem__", slow_first_read)
+        monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "read", slow_first_read)
         pin_machine(monkeypatch, cores=4)
         with pytest.raises(NonFiniteTensorError, match=f"tensor {re.escape(repr(first))} holds NaN"):
             merge(recipe)
         assert later_failed.is_set()
 
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_nan_inside_a_run_names_its_file_and_tensor(self, tmp_path, monkeypatch, small_arch, cores):
+        """A NaN in the middle of a run is named by file and tensor; of two in one run, the one
+        first in name order, even when the other is in an input read before it."""
+        names = sorted(lewis.random_checkpoint(small_arch, seed=0).names())
+        middle = names[5]  # the blocks' 16 tensors make the first run
+        recipe = _write_models(tmp_path, small_arch, 2, bad=[middle, names[9]])
+        pin_machine(monkeypatch, cores=cores)
+        named = rf"^{re.escape(recipe.model_paths[-1])}: tensor {re.escape(repr(middle))} holds NaN"
+        with pytest.raises(NonFiniteTensorError, match=named):
+            merge(recipe)
+        base = lewis.read_checkpoint(recipe.base_path)
+        base.tensors[names[7]][0] = np.inf
+        write_checkpoint(base, recipe.base_path)
+        with pytest.raises(NonFiniteTensorError, match=named):
+            merge(recipe)
+        base.tensors[names[3]][0] = np.nan
+        write_checkpoint(base, recipe.base_path)
+        with pytest.raises(NonFiniteTensorError, match=rf"^{re.escape(recipe.base_path)}: tensor {re.escape(repr(names[3]))} "):
+            merge(recipe)
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_prune_error_of_the_first_failing_tensor_is_raised(self, tmp_path, monkeypatch, small_arch, cores):
+        """Of two models whose plans fail the drop at different tensors of one run, the error
+        names the tensor first in name order, though the other model is pruned first."""
+        recipe = _write_models(tmp_path, small_arch, 2)
+        recipe.method = "dare-linear"
+        plans = [
+            lewis.SparsityPlan(model_id="f0", mode="lewis-minmax", densities={0: 0.5, 1: 1e-320}, default_density=0.5),
+            lewis.SparsityPlan(model_id="f1", mode="lewis-minmax", densities={0: 1e-320, 1: 0.5}, default_density=0.5),
+        ]
+        first = sorted(lewis.random_checkpoint(small_arch, seed=0).names())[0]  # block 0's, in the run of both blocks
+        pin_machine(monkeypatch, cores=cores)
+        with pytest.raises(MergeError, match=f"^tensor {re.escape(repr(first))}: density 1e-320 has no finite rescale"):
+            merge(recipe, plans)
+
     def test_no_tensor_starts_after_a_failure(self, tmp_path, monkeypatch, small_arch):
         recipe = _write_models(tmp_path, small_arch, 1)
-        names = sorted(lewis.random_checkpoint(small_arch, seed=0).names())
+        base = lewis.random_checkpoint(small_arch, seed=0)
+        sizes = [base[name].size for name in base.names()]
+        firsts = [base.names()[run.start] for run in lewis.merge_methods._runs(sizes, max(sizes))]
+        assert len(firsts) == 4  # each run's first tensor; two runs are in flight at most
         started = []
-        all_running = threading.Barrier(4, timeout=10)
+        both_running = threading.Barrier(2, timeout=10)
         compute = lewis.merge_methods.compute_task_vector
 
         def failing_compute(base, finetuned, model_id, **kwargs):
             name = base.names()[0]
             started.append(name)
-            if name in names[:4]:
-                all_running.wait()  # the first four tensors run side by side
-            if name == names[0]:
+            if name in firsts[:2]:
+                both_running.wait()  # the first two runs run side by side
+            if name == firsts[0]:
                 raise RuntimeError("task vector failed")
-            time.sleep(0.2)  # the failure is recorded before these finish
+            time.sleep(0.2)  # the failure is recorded before this one finishes
             return compute(base, finetuned, model_id, **kwargs)
 
         monkeypatch.setattr(lewis.merge_methods, "compute_task_vector", failing_compute)
         pin_machine(monkeypatch, cores=4)
         with pytest.raises(RuntimeError, match="task vector failed"):
             merge(recipe)
-        assert sorted(started) == names[:4]
+        assert sorted(started) == sorted(firsts[:2])
 
     def test_calling_thread_merges_a_tensor(self, tmp_path, monkeypatch, small_arch):
         recipe = _write_models(tmp_path, small_arch, 2)
@@ -704,18 +765,41 @@ class TestThreadedMerge:
         "blas", [{}, {"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "4"}, {"MKL_NUM_THREADS": "8"}],
         ids=["unset", "omp-1", "openblas-4", "mkl-more-than-cores"],
     )
-    def test_worker_count_ignores_blas_variables(self, tmp_path, monkeypatch, small_arch, blas):
-        recipe = _write_models(tmp_path, small_arch, 1)
-        workers = []
+    def test_worker_count_ignores_blas_variables(self, tmp_path, monkeypatch, blas):
+        # 13 runs, more than the 4 pinned cores and than any BLAS variable's value
+        arch = lewis.ArchConfig(vocab_size=16, hidden_dim=8, num_blocks=4, num_heads=2, mlp_dim=64, max_seq_len=16)
+        recipe = _write_models(tmp_path, arch, 1)
+        workers, items = [], []
         map_in_order = lewis.merge_methods.map_in_order
 
-        def recording_map(fn, items, count, **kwargs):
-            workers.append(min(count, len(items)))
-            return map_in_order(fn, items, count, **kwargs)
+        def recording_map(fn, runs, count, **kwargs):
+            workers.append(min(count, len(runs)))
+            items.append(len(runs))
+            return map_in_order(fn, runs, count, **kwargs)
 
         monkeypatch.setattr(lewis.merge_methods, "map_in_order", recording_map)
         pin_machine(monkeypatch, cores=4, **blas)
         merge(recipe)
         pin_machine(monkeypatch, cores=64, **blas)
         merge(recipe)
-        assert workers == [4, len(lewis.random_checkpoint(small_arch, seed=0).names())]
+        assert items[0] > 8 and workers == [4, items[0]]
+
+    def test_runs_pack_the_pipeline_models_tensors(self, tmp_path, monkeypatch):
+        """On the benchmark pipeline's arch the merge hands out fewer items than tensors: runs
+        of consecutive tensors in name order, none over the largest tensor's elements."""
+        arch = lewis.ArchConfig(hidden_dim=128, num_blocks=6, num_heads=4, mlp_dim=512, max_seq_len=128)
+        recipe = _write_models(tmp_path, arch, 1)
+        seen = []
+        map_in_order = lewis.merge_methods.map_in_order
+
+        def recording_map(fn, runs, count, **kwargs):
+            seen.extend(runs)
+            return map_in_order(fn, runs, count, **kwargs)
+
+        monkeypatch.setattr(lewis.merge_methods, "map_in_order", recording_map)
+        merge(recipe)
+        shapes = lewis.checkpoint.CheckpointFile(recipe.base_path).shapes()
+        sizes = [int(np.prod(shapes[name])) for name in sorted(shapes)]
+        assert 0 < len(seen) < len(sizes)
+        assert [i for run in seen for i in run] == list(range(len(sizes)))
+        assert max(sum(sizes[i] for i in run) for run in seen) == max(sizes)
