@@ -1,4 +1,4 @@
-"""Scratch blocks: the memory a merge works in, one block per tensor in flight.
+"""Scratch blocks: the memory a merge works in, one block per worker.
 
 A Block is one byte buffer used as a stack. While a block is lent to a
 thread (`with block.lent():`), `empty(shape, dtype)` on that thread takes
@@ -11,18 +11,12 @@ result before opening one. `copied`, `all_finite` and `select` are
 Nothing counts references: a piece is free once its frame or its lend
 ends, and the code that took it must not use it after that.
 
-`merge()` lends each tensor one block. The tensor's long-lived arrays sit
+`merge()` gives each of its workers one block, made on the worker's first
+run and lent to it for every run it takes. A run's long-lived arrays sit
 at the bottom (the base, then one delta per model, each float64), and the
 kernels' temporaries reuse the region above them (`merge_methods` sizes
 it). A take its block has no room for falls back to `np.empty`
 (`_overflow`); `merge()` sizes its blocks so that this never happens.
-
-Blocks come from a BlockPool, a free list that holds at most `cap` bytes,
-idle blocks and blocks in use together. A tensor gets an idle block of its
-exact size, the one its thread gave back last if there is one; else a new
-block, made after idle ones are dropped, oldest first, until it fits under
-the cap; if that is not enough, the block is made anyway and dropped when
-it is given back.
 """
 
 from __future__ import annotations
@@ -51,14 +45,12 @@ def _overflow(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
 class Block:
     """One byte buffer handed out as a stack of arrays; see the module docstring."""
 
-    def __init__(self, nbytes: int, kept: bool = True):
+    def __init__(self, nbytes: int):
         memory = _new_block(nbytes + _ALIGN)
         skip = -memory.ctypes.data % _ALIGN
         self.memory = memory[skip : skip + nbytes]
         self.nbytes = nbytes
-        self.kept = kept  # whether its pool holds it once it is given back
         self.top = 0  # bytes in use, from the start
-        self.owner: int | None = None  # the thread that used it last
 
     def take(self, shape: tuple[int, ...], dtype: np.dtype | type | str) -> np.ndarray:
         """An uninitialised array of `shape` and `dtype` on the next aligned piece."""
@@ -95,44 +87,6 @@ class frame:
     def __exit__(self, *exc: object) -> None:
         if self.block is not None:
             self.block.top = self.top
-
-
-class BlockPool:
-    """A capped free list of blocks; see the module docstring."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.held = 0  # bytes of the blocks kept, idle or in use
-        self._idle: list[Block] = []  # oldest given back first
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def lend(self, nbytes: int) -> Iterator[Block]:
-        """A block of `nbytes`, lent to the calling thread for the with-block, then given back."""
-        block = self._take(nbytes)
-        try:
-            with block.lent():
-                yield block
-        finally:
-            if block.kept:
-                with self._lock:
-                    self._idle.append(block)
-
-    def _take(self, nbytes: int) -> Block:
-        me = threading.get_ident()
-        with self._lock:
-            same = [b for b in self._idle if b.nbytes == nbytes]
-            if same:
-                block = next((b for b in reversed(same) if b.owner == me), same[-1])
-                self._idle.remove(block)
-            else:
-                while self._idle and self.held + nbytes > self.cap:
-                    self.held -= self._idle.pop(0).nbytes
-                kept = self.held + nbytes <= self.cap
-                self.held += nbytes if kept else 0
-                block = Block(nbytes, kept)
-        block.owner = me
-        return block
 
 
 def empty(shape: tuple[int, ...], dtype: np.dtype | type | str = np.float64) -> np.ndarray:

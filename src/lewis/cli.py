@@ -11,6 +11,7 @@ MergeError or an OSError naming its file), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -162,6 +163,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process; each parse_args starts from a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lewis",

@@ -26,15 +26,15 @@ is keyed by the tensor name), and only the trim and the drop need to know
 where a tensor starts and ends, so the unit of work is a run: consecutive
 tensors in name order whose elements add up to at most the largest
 tensor's, each run as long as that allows. Runs go to min(runs, usable
-cores) worker threads; the merge does no BLAS work, so the BLAS thread
-variables do not lower that count. The calling thread is one of the
-workers, and all of them take runs in name order (`parallel.map_in_order`).
-Before they start, the calling thread allocates one float64 buffer for
-the whole output, the tensors back to back in name order, so each run's
-output is one slice of it and is not allocated on a helper thread. Each
-input file is opened twice per merge, for its header and for one
-descriptor that every read shares (`os.preadv`), however many tensors it
-has.
+cores, 2) worker threads (the 2 is the memory rule below); the merge does
+no BLAS work, so the BLAS thread variables do not lower that count. The
+calling thread is one of the workers, and all of them take runs in name
+order (`parallel.map_in_order`). Before they start, the calling thread
+allocates one float64 buffer for the whole output, the tensors back to
+back in name order, so each run's output is one slice of it and is not
+allocated on a helper thread. Each input file is opened twice per merge,
+for its header and for one descriptor that every read shares
+(`os.preadv`), however many tensors it has.
 
 A run works in one scratch block (`buffers.Block`) made for the largest
 tensor's elements, so one block fits any run. At its bottom, each input's
@@ -48,15 +48,14 @@ keeps its own threshold and Philox stream; one combine covers the run's
 regions and writes into its output slice. Every stage works in place, so
 a run takes 8 × (models + 1) + 19 bytes per element of the largest tensor
 for ties and dare-ties, 8 × (models + 1) + 11 for the linear methods,
-and no other memory of its size. Each run is charged its block against
-an in-flight budget of twice the largest tensor's elements, so at most
-two runs are in flight. Blocks come from one `buffers.BlockPool` per
-merge, and a worker gets back the block it used last, so a merge makes
-one block per run in flight. After a failure no worker starts another
-run, and the merge raises the error of the failing run that comes first
-in name order. A run that fails is done again tensor by tensor, so its
-error is the one a serial loop over the tensors meets first. The output
-bytes do not depend on the worker count.
+and no other memory of its size. Each worker makes one block on its
+first run and works every later run in it, so with two workers at most
+two runs, twice the largest tensor's elements, are in flight, in two
+blocks. After a failure no worker starts another run, and the merge
+raises the error of the failing run that comes first in name order. A
+run that fails is done again tensor by tensor, so its error is the one a
+serial loop over the tensors meets first. The output bytes do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -66,12 +65,13 @@ import functools
 import itertools
 import json
 import math
+import threading
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .buffers import _ALIGN, BlockPool, empty, frame, select
+from .buffers import _ALIGN, Block, empty, frame, select
 from .checkpoint import _NARROW_BYTES, Checkpoint, CheckpointFile, exact_checkpoint
 from .errors import MergeError, PlanError, RecipeError
 from .importance import SparsityPlan, _float, build_plan_uniform
@@ -227,13 +227,9 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     # The calling thread allocates the whole output, the tensors back to back in name
     # order, so it outlives the workers in the calling thread's malloc arena, not in theirs.
     output = np.empty(starts[-1])
-    workers = usable_cores()
     per_element, pad = _block_layout(len(models), elect)
-    # Every run gets a block for `largest` elements, which fits any run, and is charged
-    # that much of an in-flight budget of twice the largest tensor's elements: two runs
-    # are in flight, and the pool keeps their two blocks for the runs after them.
-    block = per_element * largest + pad
-    pool = BlockPool(2 * block)
+    # One block per worker thread, for `largest` elements, which fits any run.
+    block = functools.cache(lambda thread: Block(per_element * largest + pad))
     files = (base, *models)
 
     def views(flat: np.ndarray, run: range) -> dict[str, np.ndarray]:
@@ -244,10 +240,10 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     def merge_run(run: range) -> None:
         # The whole-model functions, fed checkpoints of the run's tensors, under the
         # names perfbench's traced run wraps. Each works in place or into its out=,
-        # and every array they make is taken from this run's block.
+        # and every array they make is taken from this worker's block.
         run_names = names[run.start : run.stop]
         merged = output[starts[run.start] : starts[run.stop]]
-        with pool.lend(block):
+        with block(threading.get_ident()).lent():
             base_run, *deltas = [file.read(run_names) for file in files]
             base_t = exact_checkpoint(views(base_run, run), base.dtypes)
             for delta, model, model_id, plan, seed in zip(deltas, models, model_ids, plans, seeds):
@@ -279,5 +275,5 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
     with contextlib.ExitStack() as opened:  # one descriptor per input for every read, closed at the end
         for file in files:
             opened.enter_context(file)
-        map_in_order(combine, runs, workers, cost=lambda run: largest, budget=2 * largest)
+        map_in_order(combine, runs, min(usable_cores(), 2))
     return exact_checkpoint(views(output, range(len(names))), base.dtypes, metadata)

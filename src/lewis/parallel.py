@@ -1,16 +1,13 @@
 """In-order fan-out of independent work items over threads, the calling thread among them.
 
 `map_in_order(fn, items, workers)` returns `[fn(item) for item in items]`.
-The calling thread and `workers - 1` helper threads take items from one
-shared counter, in item order. The calling thread takes the first item
-before any helper starts, so it always runs at least one; whatever watches
-only the calling thread (a tracer, say) sees its share of the work.
+The calling thread and `workers - 1` helper threads (no more than there
+are items) take items from one shared counter, in item order. The calling
+thread takes the first item before any helper starts, so it always runs at
+least one; whatever watches only the calling thread (a tracer, say) sees
+its share of the work.
 
-With `cost`, the items in flight cost at most `budget` together: a thread
-waits before it starts an item that would go over, unless nothing else is
-in flight, and no thread skips ahead of the waiting item.
-
-After an item raises, no thread starts another; items already started
+After an item raises, no thread starts another; items already claimed
 finish. Then the error of the failing item that comes first in item order
 is raised, which is the error a serial loop raises.
 
@@ -34,43 +31,29 @@ def usable_cores() -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-def map_in_order(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: int,
-    cost: Callable[[T], int] | None = None,
-    budget: int = 0,
-) -> list[R]:
+def map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
     """`[fn(item) for item in items]` on up to `workers` threads, as the module docstring says."""
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
-    changed = threading.Condition()
-    taken = in_flight = 0
+    lock = threading.Lock()
+    taken = 0
 
-    def claim() -> tuple[int, int] | None:
-        nonlocal taken, in_flight
-        with changed:
-            while not failures and taken < len(items):
-                c = 0 if cost is None else cost(items[taken])
-                if in_flight == 0 or in_flight + c <= budget:
-                    taken, in_flight = taken + 1, in_flight + c
-                    return taken - 1, c
-                changed.wait()
-            return None
+    def claim() -> int | None:
+        nonlocal taken
+        with lock:
+            if failures or taken == len(items):
+                return None
+            taken += 1
+            return taken - 1
 
-    def run(claimed: tuple[int, int] | None) -> None:
-        nonlocal in_flight
-        while claimed is not None:
-            i, c = claimed
+    def run(i: int | None) -> None:
+        while i is not None:
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:  # re-raised by the calling thread below
-                with changed:
+                with lock:
                     failures[i] = exc
-            with changed:
-                in_flight -= c
-                changed.notify_all()
-            claimed = claim()
+            i = claim()
 
     first = claim()
     helpers = [

@@ -1,7 +1,9 @@
-"""The merge's scratch blocks: stack reuse, the pool's cap, and output bytes that do not depend on either."""
+"""The merge's scratch blocks: stack reuse, one block per worker, and output bytes that do not depend on their contents."""
 
+import contextlib
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,18 +15,13 @@ import lewis.buffers
 import lewis.checkpoint
 import lewis.merge_methods
 from lewis import Checkpoint, MergeRecipe, merge, write_checkpoint
-from lewis.buffers import Block, BlockPool, empty, frame, select
+from lewis.buffers import Block, empty, frame, select
 from lewis.task_vectors import MERGE_METHODS
 from conftest import pin_machine
 
 
-def _pool_with_cap(cap: int | None):
-    """A BlockPool factory that ignores the cap it is given and uses `cap` (None: no cap)."""
-    return lambda _cap: BlockPool(2**62 if cap is None else cap)
-
-
 class TestBufferPool:
-    """Blocks, their frames and their pool."""
+    """Blocks and their frames."""
 
     def test_empty_outside_a_lend_is_plain_numpy(self):
         arr = empty((3, 2), np.float32)
@@ -51,68 +48,6 @@ class TestBufferPool:
         with block.lent():
             inside, past = empty((8,)), empty((8,))
         assert inside.base is not None and past.flags.owndata and fresh == [(8,)]
-
-    def test_over_the_cap_a_block_is_fresh_and_not_kept(self):
-        pool = BlockPool(100)
-        with pool.lend(64) as kept, pool.lend(64) as fresh:
-            assert kept.kept and not fresh.kept and pool.held == 64
-        with pool.lend(64) as again:
-            assert again is kept
-
-    def test_idle_blocks_are_dropped_to_make_room(self):
-        pool = BlockPool(100)
-        with pool.lend(64):
-            pass
-        with pool.lend(48) as block:
-            assert block.kept and pool.held == 48
-
-    def test_a_thread_gets_back_the_block_it_used_last(self):
-        pool = BlockPool(1000)
-        barrier = threading.Barrier(2)
-        used: dict[str, list[Block]] = {"a": [], "b": []}
-
-        def work(tag: str) -> None:
-            for _ in range(3):
-                with pool.lend(64) as block:
-                    used[tag].append(block)
-                    barrier.wait(timeout=10)  # both hold a block at once
-
-        threads = [threading.Thread(target=work, args=(tag,)) for tag in used]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads) and pool.held == 128
-        for blocks in used.values():
-            assert blocks[0] is blocks[1] is blocks[2]
-        assert used["a"][0] is not used["b"][0]
-
-    def test_threads_sharing_a_pool_never_share_a_live_block(self):
-        pool = BlockPool(5 * 256)  # too small for every thread: lends also evict and make fresh blocks
-        failures = []
-
-        def work(tag: float) -> None:
-            for i in range(1000):
-                with pool.lend(256 if i % 2 else 192):
-                    arrays = [empty((8,)), empty((4, 2))]
-                    with frame():
-                        arrays.append(empty((2,) * (1 + i % 3)))
-                        for arr in arrays:
-                            arr.fill(tag)
-                        if any((arr != tag).any() for arr in arrays) or pool.held > pool.cap:
-                            failures.append(tag)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(float(t),)) for t in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads) and failures == []
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.uint8, np.uint16])
     def test_select_is_where(self, dtype):
@@ -149,11 +84,11 @@ _SHAPES = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
 @given(
     shapes=st.lists(_SHAPES, min_size=1, max_size=6),
     dtypes=st.lists(st.sampled_from(lewis.checkpoint.DTYPES), min_size=6, max_size=6),
-    tiny_cap=st.integers(1, 4096),
     seed=st.integers(0, 2**16),
 )
-def test_bytes_do_not_depend_on_the_pool(tmp_path, monkeypatch, method, workers, shapes, dtypes, tiny_cap, seed):
-    """Every block fresh (cap 0), constant eviction (a tiny cap) and no cap give one output."""
+def test_bytes_do_not_depend_on_scratch_contents(tmp_path, monkeypatch, method, workers, shapes, dtypes, seed):
+    """Blocks made of zeros, of all-ones bits (NaN words), of 0x7F or as np.empty leaves them
+    give one output: no kernel reads scratch it did not write."""
     rng = np.random.default_rng(seed)
     # Blocks of repeated shapes, so scratch blocks are reused from block to block.
     names = [f"blocks.{i % 3}.mlp.w{i}" for i in range(len(shapes))]
@@ -162,8 +97,10 @@ def test_bytes_do_not_depend_on_the_pool(tmp_path, monkeypatch, method, workers,
     recipe.method = method
     pin_machine(monkeypatch, cores=workers)
     outputs = set()
-    for cap in (0, tiny_cap, None):
-        monkeypatch.setattr(lewis.merge_methods, "BlockPool", _pool_with_cap(cap))
+    new_block = lewis.buffers._new_block
+    for fill in (None, 0x00, 0xFF, 0x7F):
+        filled = new_block if fill is None else partial(np.full, dtype=np.uint8, fill_value=fill)
+        monkeypatch.setattr(lewis.buffers, "_new_block", filled)
         write_checkpoint(merge(recipe), tmp_path / "merged.safetensors")
         outputs.add((tmp_path / "merged.safetensors").read_bytes())
     assert len(outputs) == 1
@@ -217,23 +154,76 @@ def _tensor_bytes(ckpt: Checkpoint) -> dict[str, bytes]:
     return {name: ckpt[name].tobytes() for name in ckpt.names()}
 
 
-@pytest.mark.parametrize("cores", [1, 4])
-def test_pool_holding_never_exceeds_its_cap(tmp_path, monkeypatch, cores):
+def _runs_side_by_side(monkeypatch, workers: int) -> None:
+    """Make each merge worker's first run wait in its prune until `workers` runs are in
+    flight, so every worker takes a run however fast the others are."""
+    arrived, lock = set(), threading.Lock()
+    both_running = threading.Barrier(workers, timeout=10)
+    apply_plan = lewis.merge_methods.apply_plan
+
+    def waiting_apply_plan(*args, **kwargs):
+        with lock:
+            first = threading.get_ident() not in arrived
+            arrived.add(threading.get_ident())
+        if first:
+            both_running.wait()
+        return apply_plan(*args, **kwargs)
+
+    monkeypatch.setattr(lewis.merge_methods, "apply_plan", waiting_apply_plan)
+
+
+@pytest.mark.parametrize("cores", [1, 4, 32])
+def test_a_merge_makes_one_block_per_worker(tmp_path, monkeypatch, cores):
+    """A merge plus write makes min(cores, 2, runs) blocks of one size, then the writer's."""
     recipe = _toy_recipe(tmp_path, 4)
     pin_machine(monkeypatch, cores=cores)
     expected = _tensor_bytes(merge(recipe))
-    holdings = []
+    sizes = [arr.size for arr in lewis.read_checkpoint(recipe.base_path).tensors.values()]
+    workers = min(cores, 2, len(lewis.merge_methods._runs(sizes, max(sizes))))
+    per_element, pad = lewis.merge_methods._block_layout(2, elect=recipe.method in ("ties", "dare-ties"))
+    made = []
+    new_block = lewis.buffers._new_block
+    monkeypatch.setattr(lewis.buffers, "_new_block", lambda nbytes: made.append(nbytes) or new_block(nbytes))
+    _runs_side_by_side(monkeypatch, workers)
+    merged = merge(recipe)
+    write_checkpoint(merged, tmp_path / "merged.safetensors")
+    assert _tensor_bytes(merged) == expected
+    assert made[:-1] == [per_element * max(sizes) + pad + lewis.buffers._ALIGN] * workers and len(made) == workers + 1
 
-    class CheckedPool(BlockPool):
-        def _take(self, nbytes):
-            block = super()._take(nbytes)
-            holdings.append((self.held, self.cap))
-            return block
 
-    # Half again the block of the 256 x 16 embedding, which every run gets (43 bytes
-    # an element for ties of two models): the pool evicts all along.
-    cap = 3 * 43 * 256 * 16 // 2
-    monkeypatch.setattr(lewis.merge_methods, "BlockPool", lambda _cap: CheckedPool(cap))
-    assert _tensor_bytes(merge(recipe)) == expected
-    assert holdings and all(held <= cap for held, cap in holdings)
-    assert max(held for held, _ in holdings) > cap // 2
+def test_workers_never_share_a_live_block(tmp_path, monkeypatch):
+    """At 4 cores, each of the two workers lends exactly one block, and no block is
+    lent to two threads at once."""
+    recipe = _toy_recipe(tmp_path, 8)
+    lends: dict[int, set[int]] = {}
+    live: dict[int, int] = {}  # id of a lent block -> the thread it is lent to
+    clashes = []
+    lock = threading.Lock()
+    lent = Block.lent
+
+    @contextlib.contextmanager
+    def recording_lent(block):
+        me = threading.get_ident()
+        with lock:
+            if id(block) in live:
+                clashes.append((me, live[id(block)]))
+            live[id(block)] = me
+            lends.setdefault(me, set()).add(id(block))
+        try:
+            with lent(block):
+                yield block
+        finally:
+            with lock:
+                live.pop(id(block), None)
+
+    monkeypatch.setattr(Block, "lent", recording_lent)
+    pin_machine(monkeypatch, cores=4)
+    _runs_side_by_side(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        merge(recipe)
+    finally:
+        sys.setswitchinterval(interval)
+    assert clashes == [] and len(lends) == 2
+    assert all(len(blocks) == 1 for blocks in lends.values()) and len(set.union(*lends.values())) == 2

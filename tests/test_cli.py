@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lewis
+import lewis.cli
 from lewis.cli import main
 from lewis.pruning import trim_count
 from conftest import mismatched_model
@@ -529,6 +530,27 @@ class TestMerge:
         assert (workspace / "base.safetensors").read_bytes() == (
             workspace / "fresh.safetensors"
         ).read_bytes()
+
+
+def test_consecutive_calls_keep_no_state(monkeypatch):
+    """The parser is built once per process, and no flag's values carry from one call to the next,
+    not even from a call that ends in a usage error."""
+    seen = []
+
+    def recording_recipe(base, models, **fields):
+        seen.append([models, fields.get("alphas"), fields.get("plan_refs")])
+        raise lewis.MergeError("recorded")
+
+    monkeypatch.setattr(lewis.cli, "MergeRecipe", recording_recipe)
+    merge = ["merge", "--base", "b", "--out", "o"]
+    assert main([*merge, "--model", "a", "--model", "b", "--alpha", "1", "--alpha", "2", "--plan", "p", "--plan", "q"]) == 1
+    assert main([*merge, "--model", "c", "--alpha", "3", "--plan", "r"]) == 1
+    with pytest.raises(SystemExit) as usage:
+        main([*merge, "--model", "d", "--alpha", "4", "--plan", "s", "--density", "0.5"])
+    assert usage.value.code == 2
+    assert main([*merge, "--model", "e"]) == 1
+    assert seen == [[["a", "b"], [1.0, 2.0], ["p", "q"]], [["c"], [3.0], ["r"]], [["e"], None, None]]
+    assert lewis.cli.build_parser() is lewis.cli.build_parser()
 
 
 def test_runs_without_cpu_affinity(workspace, monkeypatch, capsys):

@@ -647,7 +647,7 @@ def _write_models(tmp_path, arch, count: int, bad: Sequence[str] = (), base: Che
 
 
 class TestThreadedMerge:
-    """`merge` runs tensors on one worker per usable core; cores are pinned with
+    """`merge` runs its runs on min(usable cores, 2) workers; cores are pinned with
     a patched `os.sched_getaffinity`, so these run the threaded path on any machine."""
 
     @pytest.mark.parametrize("method", MERGE_METHODS)
@@ -747,6 +747,20 @@ class TestThreadedMerge:
             merge(recipe)
         assert sorted(started) == sorted(firsts[:2])
 
+    def test_a_merge_at_32_cores_starts_one_helper_thread(self, tmp_path, monkeypatch, small_arch):
+        recipe = _write_models(tmp_path, small_arch, 1)
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        pin_machine(monkeypatch, cores=32)
+        merge(recipe)
+        assert len(started) == 1  # of 4 runs: the calling thread is the other worker
+
     def test_calling_thread_merges_a_tensor(self, tmp_path, monkeypatch, small_arch):
         recipe = _write_models(tmp_path, small_arch, 2)
         threads = set()
@@ -766,23 +780,24 @@ class TestThreadedMerge:
         ids=["unset", "omp-1", "openblas-4", "mkl-more-than-cores"],
     )
     def test_worker_count_ignores_blas_variables(self, tmp_path, monkeypatch, blas):
+        """min(cores, 2) workers, which a count the BLAS variables lower (as the forward
+        workers' is) would miss at 4 cores."""
         # 13 runs, more than the 4 pinned cores and than any BLAS variable's value
         arch = lewis.ArchConfig(vocab_size=16, hidden_dim=8, num_blocks=4, num_heads=2, mlp_dim=64, max_seq_len=16)
         recipe = _write_models(tmp_path, arch, 1)
         workers, items = [], []
         map_in_order = lewis.merge_methods.map_in_order
 
-        def recording_map(fn, runs, count, **kwargs):
+        def recording_map(fn, runs, count):
             workers.append(min(count, len(runs)))
             items.append(len(runs))
-            return map_in_order(fn, runs, count, **kwargs)
+            return map_in_order(fn, runs, count)
 
         monkeypatch.setattr(lewis.merge_methods, "map_in_order", recording_map)
-        pin_machine(monkeypatch, cores=4, **blas)
-        merge(recipe)
-        pin_machine(monkeypatch, cores=64, **blas)
-        merge(recipe)
-        assert items[0] > 8 and workers == [4, items[0]]
+        for cores in (1, 4, 64):
+            pin_machine(monkeypatch, cores=cores, **blas)
+            merge(recipe)
+        assert items[0] > 8 and workers == [1, 2, 2]
 
     def test_runs_pack_the_pipeline_models_tensors(self, tmp_path, monkeypatch):
         """On the benchmark pipeline's arch the merge hands out fewer items than tensors: runs
@@ -792,9 +807,9 @@ class TestThreadedMerge:
         seen = []
         map_in_order = lewis.merge_methods.map_in_order
 
-        def recording_map(fn, runs, count, **kwargs):
+        def recording_map(fn, runs, count):
             seen.extend(runs)
-            return map_in_order(fn, runs, count, **kwargs)
+            return map_in_order(fn, runs, count)
 
         monkeypatch.setattr(lewis.merge_methods, "map_in_order", recording_map)
         merge(recipe)

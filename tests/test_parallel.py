@@ -1,4 +1,4 @@
-"""`parallel.map_in_order`: results in item order, the in-flight budget, and failures."""
+"""`parallel.map_in_order`: results in item order, each item run once, and failures."""
 
 import os
 import sys
@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lewis.parallel import map_in_order, usable_cores
 
@@ -15,51 +17,62 @@ def test_results_in_item_order_with_more_workers_than_items():
     assert map_in_order(lambda x: x, [], workers=4) == []
 
 
-def test_budget_holds_under_contention():
-    """With more workers than cores and a short switch interval, the cost of the
-    items in flight never exceeds the budget, and no item runs twice or is lost."""
-    costs = [1 + (7 * i) % 5 for i in range(300)]  # 1..5
-    lock = threading.Lock()
-    in_flight = peak = 0
+def test_no_item_runs_twice_or_is_lost_under_contention():
+    """With more workers than cores and a short switch interval, every item runs once
+    and the results come back in item order."""
     ran = []
 
     def work(i):
-        nonlocal in_flight, peak
-        with lock:
-            in_flight += costs[i]
-            peak = max(peak, in_flight)
-            ran.append(i)
+        ran.append(i)
         sum(range(200))  # a little Python work, so threads interleave
-        with lock:
-            in_flight -= costs[i]
         return i
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = map_in_order(work, list(range(300)), workers=8, cost=costs.__getitem__, budget=10)
+        result = map_in_order(work, list(range(300)), workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert result == list(range(300))
     assert sorted(ran) == list(range(300))
-    assert peak <= 10
 
 
-def test_item_over_budget_runs_alone():
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    workers=st.integers(1, 8),
+    failing=st.sets(st.integers(0, 39)),
+)
+def test_any_items_any_workers_any_failures(n, workers, failing):
+    """The results of a serial loop, or the error it raises first. No item runs twice, and
+    after the first failure only items claimed before it is recorded start: at most one
+    per other worker, each of which waits long enough for the record to happen."""
+    failing &= set(range(n))
     lock = threading.Lock()
-    running = most = 0
+    starts = []
+    failed = threading.Event()
+    late = []  # items that started after some item raised
 
-    def work(_):
-        nonlocal running, most
+    def fn(i):
         with lock:
-            running += 1
-            most = max(most, running)
-        time.sleep(0.01)
-        with lock:
-            running -= 1
+            starts.append(i)
+            if failed.is_set():
+                late.append(i)
+        if i in failing:
+            failed.set()
+            raise ValueError(i)
+        if failed.is_set():
+            time.sleep(0.05)
+        return 3 * i + 1
 
-    map_in_order(work, [50, 50, 50], workers=3, cost=lambda c: c, budget=10)
-    assert most == 1
+    if failing:
+        with pytest.raises(ValueError) as raised:
+            map_in_order(fn, list(range(n)), workers)
+        assert raised.value.args == (min(failing),)
+    else:
+        assert map_in_order(fn, list(range(n)), workers) == [3 * i + 1 for i in range(n)]
+    assert sorted(starts) == list(range(len(starts)))  # a prefix of the items, each run once
+    assert len(late) <= workers - 1
 
 
 def test_first_item_runs_on_the_calling_thread():
