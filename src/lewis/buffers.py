@@ -1,15 +1,15 @@
 """Scratch blocks: the memory a merge works in, one block per worker.
 
 A Block is one byte buffer used as a stack. While a block is lent to a
-thread (`with block.lent():`), `empty(shape, dtype)` on that thread takes
+thread (`with frame(block):`), `empty(shape, dtype)` on that thread takes
 the next 64-byte-aligned piece of it; with none lent it is `np.empty`, so
 outside a merge every function allocates as it always has. Inside
 `with frame():` the pieces taken are given back when the frame ends, last
 in first out, so a kernel keeps its temporaries in a frame and takes its
 result before opening one. `copied`, `all_finite` and `select` are
 `astype`, `isfinite(...).all()` and `where` on arrays that `empty` makes.
-Nothing counts references: a piece is free once its frame or its lend
-ends, and the code that took it must not use it after that.
+Nothing counts references: a piece is free once its frame ends, and the
+code that took it must not use it after that.
 
 `merge()` gives each of its workers one block, made on the worker's first
 run and lent to it for every run it takes. A run's long-lived arrays sit
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -62,31 +60,28 @@ class Block:
         self.top = end
         return self.memory[start:end].view(dtype).reshape(shape)
 
-    @contextmanager
-    def lent(self) -> Iterator["Block"]:
-        """Inside the block, `empty` on the calling thread takes from this block; at its end
-        everything taken inside it is given back."""
-        outer, top = getattr(_lent, "block", None), self.top
-        _lent.block = self
-        try:
-            yield self
-        finally:
-            _lent.block, self.top = outer, top
-
 
 class frame:
-    """`with frame():` gives back, at its end, what `empty` took inside it from the lent block."""
+    """`with frame():` gives back, at its end, what `empty` took inside it from the lent block.
+    `with frame(block):` lends `block` to the calling thread for the length of the frame."""
 
-    __slots__ = ("block", "top")
+    __slots__ = ("block", "outer", "top")
+
+    def __init__(self, block: Block | None = None):
+        self.block = block
 
     def __enter__(self) -> None:
-        self.block = getattr(_lent, "block", None)
+        self.outer = getattr(_lent, "block", None)
+        if self.block is None:
+            self.block = self.outer
+        _lent.block = self.block
         if self.block is not None:
             self.top = self.block.top
 
     def __exit__(self, *exc: object) -> None:
         if self.block is not None:
             self.block.top = self.top
+        _lent.block = self.outer
 
 
 def empty(shape: tuple[int, ...], dtype: np.dtype | type | str = np.float64) -> np.ndarray:

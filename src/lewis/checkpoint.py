@@ -311,7 +311,7 @@ def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     block = Block(_NARROW_BYTES * max((arr.size for arr in ckpt.tensors.values()), default=0) + 4 * _ALIGN)
 
     def narrow(name: str) -> np.ndarray:
-        with block.lent():
+        with frame(block):
             return _narrow(ckpt.tensors[name], ckpt.dtypes[name])
 
     words = map(narrow, ckpt.names())
@@ -436,13 +436,13 @@ class CheckpointFile:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.read([name]).reshape(self._layout[name][0])
 
-    def read(self, names: Sequence[str], out: np.ndarray | None = None) -> np.ndarray:
+    def read(self, names: Sequence[str]) -> np.ndarray:
         """The named tensors' values back to back, in the order given, as one flat float64
-        array (into `out`, if given). Tensors of one dtype that lie back to back in the file
-        take one positional read and one widening. With `finite`, one check covers them all,
-        and a failure names the first of them that holds NaN or an infinity."""
+        array. Tensors of one dtype that lie back to back in the file take one positional
+        read and one widening. With `finite`, one check covers them all, and a failure
+        names the first of them that holds NaN or an infinity."""
         counts = [math.prod(self._layout[name][0]) for name in names]
-        out = empty((sum(counts),)) if out is None else out
+        out = empty((sum(counts),))
         i = at = 0
         while i < len(names):  # one group of tensors per pass
             word, offset = _WORDS[self.dtypes[names[i]]], self._layout[names[i]][1]

@@ -61,6 +61,7 @@ on the worker count.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -74,13 +75,13 @@ import numpy as np
 from .buffers import _ALIGN, Block, empty, frame, select
 from .checkpoint import _NARROW_BYTES, Checkpoint, CheckpointFile, exact_checkpoint
 from .errors import MergeError, PlanError, RecipeError
-from .importance import SparsityPlan, _float, build_plan_uniform
+from .importance import SparsityPlan, build_plan_uniform
 from .parallel import map_in_order, usable_cores
 from .pruning import apply_plan, mix_seed
 from .roles import detect_naming_scheme, role_classifier
 from .task_vectors import (
     MergeRecipe,
-    check_out,
+    check_combine,
     check_task_vector_inputs,
     compute_task_vector,
     finalize_checkpoint,
@@ -100,16 +101,15 @@ def ties_combine(deltas: Sequence[np.ndarray], out: np.ndarray | None = None) ->
     are of the smallest unsigned type that holds the model count (uint8 up
     to 255 models, uint16 from 256 on, and so forth), so they never overflow.
     The result goes to `out` if given. Raises MergeError on an empty
-    sequence or an `out` that shares memory with a delta.
+    sequence, or on deltas or an `out` that `check_combine` refuses.
     """
     if len(deltas) == 0:
         raise MergeError("ties_combine needs at least one delta")
-    first, shape = deltas[0], np.shape(deltas[0])
+    check_combine(deltas, out, "ties_combine")
+    first, shape = deltas[0], deltas[0].shape
     sums, counts = np.result_type(first, 0.0), np.min_scalar_type(len(deltas))
     if out is None:  # the mean is taken in the dtype that a sum divided by an intp count has
         out = empty(shape, np.result_type(sums, np.intp))
-    else:
-        check_out(out, deltas, "ties_combine")
     with frame():
         pos = out if out.dtype == sums else empty(shape, sums)  # spent before the mean is written
         neg = empty(shape, sums)
@@ -185,14 +185,22 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
 
     Deterministic given (recipe, plans): the only randomness is the
     counter-based drop noise of the DARE methods, keyed by the recipe seed
-    and per-model labels.
+    and per-model labels. The recipe and each plan are checked again by
+    their own class's rule, so a field set after construction is checked too.
     """
+    if not isinstance(recipe, MergeRecipe):
+        raise RecipeError(f"recipe must be a MergeRecipe, got {type(recipe).__name__}")
+    recipe = dataclasses.replace(recipe)
     base = CheckpointFile(recipe.base_path, finite=True)
     model_ids = derive_model_ids(recipe.model_paths)
     if plans is None:
         plans = resolve_plans(recipe, model_ids)
     if len(plans) != len(recipe.model_paths):
         raise RecipeError(f"{len(recipe.model_paths)} models but {len(plans)} plans")
+    for model_id, plan in zip(model_ids, plans):
+        if not isinstance(plan, SparsityPlan):
+            raise PlanError(f"plan for {model_id!r} must be a SparsityPlan, got {type(plan).__name__}")
+    plans = [dataclasses.replace(plan) for plan in plans]
     models = [CheckpointFile(path, finite=True) for path in recipe.model_paths]
     for model, model_id in zip(models, model_ids):
         check_task_vector_inputs(base, model, model_id)
@@ -204,7 +212,6 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
             raise PlanError(f"plan for {model_id!r} sets blocks {foreign} that no tensor of the base belongs to")
     g_mode = "magnitude" if recipe.method in ("task-arithmetic", "ties") else "random"
     seeds = [mix_seed(recipe.seed, f"model-{p}") for p in range(len(models))]
-    alphas = [_float(a) for a in recipe.alphas]  # the recipe's rule, for alphas set after it checked them too
 
     metadata = {
         "merge.method": recipe.method,
@@ -213,7 +220,7 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
             [None if p.bounds is None else [p.bounds.gamma, p.bounds.epsilon] for p in plans]
         ),
         "merge.models": ",".join(model_ids),
-        "merge.alphas": json.dumps(alphas),
+        "merge.alphas": json.dumps(recipe.alphas),
     }
     for model_id, plan in zip(model_ids, plans):
         metadata[f"merge.plan_digest.{model_id}"] = plan.digest()
@@ -243,7 +250,7 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
         # and every array they make is taken from this worker's block.
         run_names = names[run.start : run.stop]
         merged = output[starts[run.start] : starts[run.stop]]
-        with block(threading.get_ident()).lent():
+        with frame(block(threading.get_ident())):
             base_run, *deltas = [file.read(run_names) for file in files]
             base_t = exact_checkpoint(views(base_run, run), base.dtypes)
             for delta, model, model_id, plan, seed in zip(deltas, models, model_ids, plans, seeds):
@@ -251,9 +258,9 @@ def merge(recipe: MergeRecipe, plans: Sequence[SparsityPlan] | None = None) -> C
                 tv = compute_task_vector(base_t, fine, model_id, out=fine.tensors)
                 apply_plan(tv, plan, g_mode, roles, seed=seed, out=tv.deltas)
             if not elect:
-                linear_combine(base_run, deltas, alphas, out=merged)
+                linear_combine(base_run, deltas, recipe.alphas, out=merged)
             else:
-                for d, a in zip(deltas, alphas):
+                for d, a in zip(deltas, recipe.alphas):
                     if a != 1.0:  # d * 1.0 is d
                         d *= a
                 ties_combine(deltas, out=merged)

@@ -86,8 +86,7 @@ def assemble_merged(
     metadata: Mapping[str, str] | None = None,
 ) -> Checkpoint:
     """merged[t] = base[t] + sum_p alpha_p * delta_p[t]."""
-    if len(pruned_deltas) != len(alphas):
-        raise RecipeError(f"{len(pruned_deltas)} task vectors but {len(alphas)} alphas")
+    alphas = check_alphas(alphas, len(pruned_deltas), "task vectors")
     for tv in pruned_deltas:
         check_task_vector_inputs(base, tv, tv.source_model_id)
     merged = {
@@ -97,10 +96,33 @@ def assemble_merged(
     return finalize_checkpoint(merged, base, metadata)
 
 
-def check_out(out: np.ndarray, deltas: Sequence[np.ndarray], where: str) -> None:
-    """Raise MergeError if `out` shares memory with a delta: a combine must leave its deltas
-    as they were, for callers that read them after it (a count of TIES sign conflicts, say)."""
-    if any(np.shares_memory(out, delta) for delta in deltas):
+def check_alphas(alphas: object, count: int, what: str) -> list[float]:
+    """The one alpha rule: a list (or tuple) of `count` finite reals, one per model, as Python floats
+    by `importance._float`; else RecipeError naming the bad value, or `count` `what` and the alphas' count."""
+    if not isinstance(alphas, (list, tuple)) or not all(map(_is_finite_real, alphas)):
+        raise RecipeError(f"alphas must be a list of finite numbers, got {alphas!r}")
+    if len(alphas) != count:
+        raise RecipeError(f"{count} {what} but {len(alphas)} alphas")
+    return [_float(a) for a in alphas]
+
+
+def check_combine(
+    deltas: Sequence[np.ndarray], out: np.ndarray | None, where: str, base: np.ndarray | None = None
+) -> None:
+    """The combine kernels' one input rule: `base`, every delta and `out` (each if given) are arrays of real
+    numbers of one shape, the first one's, and `out` shares memory with no delta (a combine leaves its deltas as
+    they were, for callers that read them after it); else MergeError naming `where` and the array."""
+    named = [] if base is None else [("base", base)]
+    named += [(f"delta {p}", delta) for p, delta in enumerate(deltas)]
+    if out is not None:
+        named.append(("out", out))
+    for what, array in named:
+        if not (isinstance(array, np.ndarray) and array.dtype.kind in "fiu"):
+            raise MergeError(f"{where}: {what} must be an array of real numbers, got {type(array).__name__}")
+        shape = named[0][1].shape
+        if array.shape != shape:
+            raise ShapeMismatchError(f"{where}: {what} has shape {list(array.shape)}, not {list(shape)}")
+    if out is not None and any(np.shares_memory(out, delta) for delta in deltas):
         raise MergeError(f"{where}: out shares memory with a delta")
 
 
@@ -112,15 +134,15 @@ def linear_combine(
 ) -> np.ndarray:
     """One tensor of a linear merge: base + sum_p alpha_p * delta_p, summed in model order,
     into `out` if given (it may be `base`, not a delta)."""
+    alphas = check_alphas(alphas, len(deltas), "deltas")
+    check_combine(deltas, out, "linear_combine", base)
     if out is None:
         out = copied(base)
     else:
-        check_out(out, deltas, "linear_combine")
         np.copyto(out, base)
     with frame():
         scaled = empty(base.shape)
         for delta, alpha in zip(deltas, alphas):
-            alpha = _float(alpha)
             out += delta if alpha == 1.0 else np.multiply(delta, alpha, out=scaled)  # d * 1.0 is d
     return out
 
@@ -184,15 +206,9 @@ class MergeRecipe(Document, error=RecipeError):
         self.base_path, self.model_paths = base_path, model_paths
         if not self.model_paths:
             raise RecipeError("recipe needs at least one model")
-        if not isinstance(self.alphas, list) or not all(map(_is_finite_real, self.alphas)):
-            raise RecipeError(f"alphas must be a list of finite numbers, got {self.alphas!r}")
-        if not self.alphas:
+        if isinstance(self.alphas, list) and not self.alphas:
             self.alphas = [1.0] * len(self.model_paths)
-        if len(self.alphas) != len(self.model_paths):
-            raise RecipeError(
-                f"{len(self.model_paths)} models but {len(self.alphas)} alphas"
-            )
-        self.alphas = [_float(a) for a in self.alphas]
+        self.alphas = check_alphas(self.alphas, len(self.model_paths), "models")
         if self.method not in MERGE_METHODS:
             raise RecipeError(f"unknown method {self.method!r}; known: {list(MERGE_METHODS)}")
         refs = self.plan_refs

@@ -20,7 +20,7 @@ from lewis.task_vectors import MERGE_METHODS
 from conftest import pin_machine
 
 
-class TestBufferPool:
+class TestBlock:
     """Blocks and their frames."""
 
     def test_empty_outside_a_lend_is_plain_numpy(self):
@@ -29,7 +29,7 @@ class TestBufferPool:
 
     def test_a_piece_is_reused_only_after_its_frame_ends(self):
         block = Block(1024)
-        with block.lent():
+        with frame(block):
             first = empty((4, 2))
             with frame():
                 inner = empty((3,), np.uint16)
@@ -45,7 +45,7 @@ class TestBufferPool:
         overflow = lewis.buffers._overflow
         monkeypatch.setattr(lewis.buffers, "_overflow", lambda shape, dtype: fresh.append(shape) or overflow(shape, dtype))
         block = Block(100)
-        with block.lent():
+        with frame(block):
             inside, past = empty((8,)), empty((8,))
         assert inside.base is not None and past.flags.owndata and fresh == [(8,)]
 
@@ -199,10 +199,14 @@ def test_workers_never_share_a_live_block(tmp_path, monkeypatch):
     live: dict[int, int] = {}  # id of a lent block -> the thread it is lent to
     clashes = []
     lock = threading.Lock()
-    lent = Block.lent
+    real_frame = lewis.merge_methods.frame
 
     @contextlib.contextmanager
-    def recording_lent(block):
+    def recording_frame(block=None):
+        if block is None:  # a kernel's frame, which lends no block
+            with real_frame():
+                yield
+            return
         me = threading.get_ident()
         with lock:
             if id(block) in live:
@@ -210,13 +214,13 @@ def test_workers_never_share_a_live_block(tmp_path, monkeypatch):
             live[id(block)] = me
             lends.setdefault(me, set()).add(id(block))
         try:
-            with lent(block):
-                yield block
+            with real_frame(block):
+                yield
         finally:
             with lock:
                 live.pop(id(block), None)
 
-    monkeypatch.setattr(Block, "lent", recording_lent)
+    monkeypatch.setattr(lewis.merge_methods, "frame", recording_frame)
     pin_machine(monkeypatch, cores=4)
     _runs_side_by_side(monkeypatch, 2)
     interval = sys.getswitchinterval()

@@ -117,9 +117,7 @@ class TestRoundTrip:
         expected = np.concatenate([ckpt[name].ravel() for name in names])
         for path in (canonical, reversed_):
             with lewis.checkpoint.CheckpointFile(path) as opened:
-                out = np.full(expected.size + 1, 7.0)
-                assert opened.read(names, out[:-1]) is not None and out[-1] == 7.0
-                assert out[:-1].tobytes() == expected.tobytes() == opened.read(names).tobytes()
+                assert opened.read(names).tobytes() == expected.tobytes()
         bad = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
         tensors = {name: ckpt[name].copy() for name in ckpt.names()}
         for name in bad:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 import lewis
 import lewis.cli
+import lewis.merge_methods
+import lewis.task_vectors
 from lewis.cli import main
 from lewis.pruning import trim_count
-from conftest import mismatched_model
+from conftest import mismatched_model, pin_machine
 
 
 @pytest.fixture
@@ -530,6 +533,52 @@ class TestMerge:
         assert (workspace / "base.safetensors").read_bytes() == (
             workspace / "fresh.safetensors"
         ).read_bytes()
+
+
+def test_merge_calls_what_the_traced_benchmark_wraps(workspace, monkeypatch):
+    """perfbench's traced run (perfbench/layers.py) measures `lewis merge` by wrapping these
+    names and reading these arguments, on the calling thread only: each must be called there."""
+    base = lewis.read_checkpoint(workspace / "base.safetensors")
+    rng = np.random.default_rng(83)
+    second = {n: base[n] - 0.2 * rng.standard_normal(base[n].shape) for n in base.names()}
+    lewis.write_checkpoint(lewis.Checkpoint(second, dict(base.dtypes)), workspace / "second.safetensors")
+    for model_id, density in (("fine", 0.6), ("second", 0.7)):
+        lewis.build_plan_uniform(density, model_id).save(workspace / f"{model_id}.plan.json")
+    wrapped = [
+        (lewis.merge_methods, "compute_task_vector"),
+        (lewis.merge_methods, "apply_plan"),
+        (lewis.merge_methods, "ties_combine"),
+        (lewis.merge_methods, "finalize_checkpoint"),
+        (lewis.task_vectors, "Checkpoint"),
+        (lewis.cli, "save_checkpoint"),
+    ]
+    calls: dict[str, list] = {name: [] for _, name in wrapped}
+
+    def recorder(name, call):
+        def recording(*args, **kwargs):
+            result = call(*args, **kwargs)
+            calls[name].append((threading.get_ident(), args, result))
+            return result
+        return recording
+
+    for owner, name in wrapped:
+        monkeypatch.setattr(owner, name, recorder(name, getattr(owner, name)))
+    pin_machine(monkeypatch, cores=2)
+    assert run([
+        "merge", "--base", workspace / "base.safetensors",
+        "--model", workspace / "fine.safetensors", "--model", workspace / "second.safetensors",
+        "--plan", workspace / "fine.plan.json", "--plan", workspace / "second.plan.json",
+        "--method", "ties", "--out", workspace / "merged.safetensors",
+    ]) == 0
+    me = threading.get_ident()
+    assert [name for name, seen in calls.items() if me not in {thread for thread, _, _ in seen}] == []
+    for _, args, result in calls["apply_plan"]:
+        tv, plan, mode, roles = args[:4]
+        assert isinstance(tv.deltas, dict) and isinstance(plan, lewis.SparsityPlan)
+        assert isinstance(mode, str) and callable(roles) and isinstance(result.deltas, dict)
+    for _, args, _ in calls["ties_combine"]:
+        assert all(isinstance(delta, np.ndarray) for delta in args[0])
+        assert len(args[0]) == 2 and len({delta.shape for delta in args[0]}) == 1
 
 
 def test_consecutive_calls_keep_no_state(monkeypatch):

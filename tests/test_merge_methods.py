@@ -29,7 +29,7 @@ from lewis import (
     ties_combine,
     write_checkpoint,
 )
-from lewis.errors import MergeError, NonFiniteTensorError, RecipeError
+from lewis.errors import MergeError, NonFiniteTensorError, PlanError, RecipeError
 from lewis.pruning import mix_seed
 from lewis.task_vectors import MERGE_METHODS, finalize_checkpoint, linear_combine
 from conftest import header_keys, mismatched_model, pin_machine, relayout, reverse_data_region
@@ -131,6 +131,19 @@ class TestTiesCombine:
             ties_combine(np.zeros((0, 3)))
         with pytest.raises(ValueError, match="at least one delta"):
             ties_combine([])
+
+    @pytest.mark.parametrize(
+        "deltas, out, match",
+        [
+            ([np.ones(3), np.ones(2)], None, r"delta 1 has shape \[2\], not \[3\]"),
+            ([np.ones(3), "x"], None, "delta 1 must be an array of real numbers, got str"),
+            ([np.ones(3)], np.empty(2), r"out has shape \[2\], not \[3\]"),
+        ],
+        ids=["delta-shape", "delta-not-an-array", "out-shape"],
+    )
+    def test_malformed_input_is_named(self, deltas, out, match):
+        with pytest.raises(MergeError, match=f"^ties_combine: {match}$"):
+            ties_combine(deltas, out=out)
 
     def test_sums_run_in_model_order_for_one_element_rows(self):
         # In float16, 2048 + 1 rounds back to 2048, so three more 1s add
@@ -463,6 +476,47 @@ class TestMerge:
         assert outputs == {(tmp_path / "expected.safetensors").read_bytes()}
 
 
+class TestMergeRechecksItsInputs:
+    """`merge` checks its recipe and plans again by their own classes' rules, so a field
+    set after construction is checked as if it had been given to the constructor."""
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("alphas", [1.0], "^2 models but 1 alphas$"),
+            ("alphas", [1.0, 1.0, 7.0], "^2 models but 3 alphas$"),
+            ("alphas", [1.0, np.nan], r"^alphas must be a list of finite numbers, got \[1.0, nan\]$"),
+            ("method", "bogus", "^unknown method 'bogus'"),
+            ("base_path", 5, "^base_path must be a path, got 5$"),
+        ],
+        ids=["too-few-alphas", "too-many-alphas", "nan-alpha", "method", "base-path"],
+    )
+    def test_a_recipe_field_set_later(self, tmp_path, small_arch, field, value, match):
+        recipe = _write_models(tmp_path, small_arch, 2)
+        recipe.method = "dare-linear"
+        setattr(recipe, field, value)
+        with pytest.raises(RecipeError, match=match):
+            merge(recipe)
+
+    def test_a_recipe_must_be_a_merge_recipe(self, tmp_path, small_arch):
+        recipe = _write_models(tmp_path, small_arch, 2)
+        recipe.save(tmp_path / "recipe.json")
+        with pytest.raises(RecipeError, match=r"^recipe must be a MergeRecipe, got \w*Path$"):
+            merge(tmp_path / "recipe.json")
+
+    def test_a_plan_must_be_a_sparsity_plan(self, tmp_path, small_arch):
+        recipe = _write_models(tmp_path, small_arch, 2)
+        with pytest.raises(PlanError, match="^plan for 'f0' must be a SparsityPlan, got dict$"):
+            merge(recipe, [{}, {}])
+
+    def test_a_plan_field_set_later(self, tmp_path, small_arch):
+        recipe = _write_models(tmp_path, small_arch, 2)
+        plans = [build_plan_uniform(0.5, "f0"), build_plan_uniform(0.5, "f1")]
+        plans[1].default_density = 2.0
+        with pytest.raises(PlanError, match=r"^default_density must lie in \(0, 1\], got 2.0$"):
+            merge(recipe, plans)
+
+
 class TestStreamedMerge:
     @pytest.mark.parametrize("kind", ["missing", "extra", "shape"])
     def test_mismatched_model_named_before_any_tensor_read(
@@ -477,7 +531,7 @@ class TestStreamedMerge:
             model_paths=[str(tmp_path / "good.safetensors"), str(tmp_path / "fine.safetensors")],
         )
 
-        def no_read(self, names, out=None):
+        def no_read(self, names):
             raise AssertionError(f"tensors {names!r} read before the inputs were checked")
 
         monkeypatch.setattr(lewis.checkpoint.CheckpointFile, "read", no_read)
@@ -581,7 +635,7 @@ class TestStreamedMerge:
     @pytest.mark.parametrize("cores", [1, 2, 8, 32])
     @pytest.mark.parametrize("method", ["ties", "dare-linear"])
     def test_peak_memory_bound_holds_at_any_core_count(self, tmp_path, monkeypatch, method, cores):
-        """The in-flight budget keeps the same 2.5x bound however many workers run."""
+        """Two workers at most, one block each, keep the same 2.5x bound however many cores there are."""
         pin_machine(monkeypatch, cores=cores)
         self.test_peak_memory_below_two_and_a_half_base_copies(tmp_path, method)
 
@@ -668,12 +722,12 @@ class TestThreadedMerge:
         later_failed = threading.Event()
         read = lewis.checkpoint.CheckpointFile.read
 
-        def slow_first_read(self, run, out=None):
+        def slow_first_read(self, run):
             # The run holding the earlier bad tensor fails only after the later one has.
             if first in run:
                 later_failed.wait(timeout=10)
             try:
-                return read(self, run, out)
+                return read(self, run)
             except NonFiniteTensorError:
                 if later in run:
                     later_failed.set()

@@ -1,10 +1,15 @@
 """Task-vector extraction, merged assembly, and recipe validation."""
 
 import json
+import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lewis import (
     Checkpoint,
@@ -13,7 +18,7 @@ from lewis import (
     assemble_merged,
     compute_task_vector,
 )
-from lewis.errors import KeysetMismatchError, RecipeError, ShapeMismatchError
+from lewis.errors import KeysetMismatchError, MergeError, RecipeError, ShapeMismatchError
 from lewis.task_vectors import linear_combine
 
 
@@ -144,6 +149,82 @@ class TestAssembleMerged:
         tv = compute_task_vector(base, base, "m")
         merged = assemble_merged(base, [tv], [1.0], metadata={"merge.method": "ties"})
         assert merged.metadata == {"merge.method": "ties"}
+
+
+_ALPHA = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**1100), 2**1100),  # past the float range at both ends
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.fractions(max_denominator=10**6),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from([np.inf, -np.inf, np.nan, Fraction(10**400, 3), sys.float_info.max]),
+)
+
+
+class TestAlphaRule:
+    """One rule reads alphas for MergeRecipe, `assemble_merged` and `linear_combine`."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(_ALPHA, min_size=n, max_size=n))))
+    def test_entry_points_agree(self, case):
+        """Lists of n alphas for n = 1-4 models: the three entry points accept or refuse alike, and
+        scale by the same Python floats (one-hot deltas give each alpha back; zero task
+        vectors keep `assemble_merged`'s snap finite whatever the alphas)."""
+        models, alphas = case
+        base = Checkpoint({"w": np.zeros(models)})
+        zeros = [TaskVector({"w": np.zeros(models)}, f"m{p}") for p in range(models)]
+        one_hot = list(np.eye(models))
+        results = []
+        for read in (
+            lambda: MergeRecipe("b", [f"m{p}" for p in range(models)], alphas=list(alphas)).alphas,
+            lambda: list(linear_combine(np.zeros(models), one_hot, list(alphas))),
+            lambda: assemble_merged(base, zeros, list(alphas)) and None,
+        ):
+            try:
+                results.append(read())
+            except RecipeError as exc:
+                results.append(exc)
+        verdicts = [isinstance(r, RecipeError) for r in results]
+        assert verdicts in ([True] * 3, [False] * 3), results
+        if not verdicts[0]:
+            floats, scaled, _ = results
+            assert all(type(a) is float for a in floats) and scaled == floats
+
+    @pytest.mark.parametrize("alphas", [[1.0], [1.0, 1.0, 5.0]])
+    def test_linear_combine_needs_one_alpha_per_delta(self, alphas):
+        with pytest.raises(RecipeError, match=f"2 deltas but {len(alphas)} alphas"):
+            linear_combine(np.zeros(3), [np.ones(3)] * 2, alphas)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), "x", True, 10**400, None], ids=["inf", "str", "bool", "huge-int", "none"])
+    def test_linear_combine_names_a_bad_alpha(self, alpha):
+        with pytest.raises(RecipeError, match=f"alphas .*{re.escape(repr(alpha))}"):
+            linear_combine(np.zeros(2), [np.ones(2)], [alpha])
+
+    def test_assemble_merged_names_a_non_finite_alpha(self):
+        base = Checkpoint({"w": np.ones(2)})
+        with pytest.raises(RecipeError, match=r"alphas .*\[inf\]"):
+            assemble_merged(base, [compute_task_vector(base, base, "m")], [float("inf")])
+
+    def test_linear_combine_refuses_a_delta_of_another_shape(self):
+        with pytest.raises(ShapeMismatchError, match=r"linear_combine: delta 0 has shape \[2\], not \[2, 2\]"):
+            linear_combine(np.zeros((2, 2)), [np.array([1.0, 2.0])], [1.0])
+
+    @pytest.mark.parametrize(
+        "base, deltas, out, match",
+        [
+            ([0.0, 0.0], [np.ones(2)], None, "base must be an array"),
+            (np.zeros(2), [np.ones(2).astype(complex)], None, "delta 0 must be an array of real numbers"),
+            (np.zeros(2), [np.ones(2)], np.empty(3), r"out has shape \[3\]"),
+            (np.zeros(2), [np.ones(2)], [0.0, 0.0], "out must be an array"),
+        ],
+        ids=["list-base", "complex-delta", "out-shape", "list-out"],
+    )
+    def test_linear_combine_refuses_what_is_not_a_real_array_of_the_base_shape(self, base, deltas, out, match):
+        with pytest.raises(MergeError, match=match):
+            linear_combine(base, deltas, [1.0], out=out)
 
 
 class TestMergeRecipe:
